@@ -5,9 +5,21 @@
 // the same seed has to produce the same decisions, the same decision times,
 // and the same operation counts, run after run. These tests pin that for
 // every algorithm, including runs with faults.
+//
+// Every config below is also pinned against a checked-in golden corpus
+// (tests/golden/determinism.txt, one line per config): run-to-run equality
+// proves reproducibility, the corpus proves a refactor left behaviour
+// unchanged. Regenerate it with scripts/regolden.sh after a change that is
+// meant to move a fingerprint, and say which lines moved and why.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/harness/cluster.hpp"
@@ -142,116 +154,444 @@ Fingerprint fingerprint(const RunReport& r) {
   return f;
 }
 
-void expect_deterministic(ClusterConfig cfg, bool check_ok = true) {
+/// One line per config: `name field=value ...`, vectors comma-joined.
+/// Strings are escaped to printable ASCII so the corpus diffs cleanly.
+class LineWriter {
+ public:
+  explicit LineWriter(const std::string& name) { out_ << name; }
+
+  template <class T>
+  LineWriter& field(const char* key, const T& v) {
+    out_ << ' ' << key << '=';
+    put(v);
+    return *this;
+  }
+  template <class T>
+  LineWriter& field(const char* key, const std::vector<T>& vs) {
+    out_ << ' ' << key << '=';
+    for (std::size_t i = 0; i < vs.size(); ++i) {
+      if (i > 0) out_ << ',';
+      put(vs[i]);
+    }
+    return *this;
+  }
+  std::string str() const { return out_.str(); }
+
+ private:
+  template <class T>
+  void put(const T& v) {
+    out_ << +v;
+  }
+  void put(bool v) { out_ << (v ? 1 : 0); }
+  void put(const std::optional<std::string>& v) {
+    if (v.has_value()) {
+      put(*v);
+    } else {
+      out_ << '-';
+    }
+  }
+  void put(const std::string& s) {
+    out_ << '"';
+    for (const char ch : s) {
+      const auto u = static_cast<unsigned char>(ch);
+      if (u > ' ' && u < 0x7F && ch != '"' && ch != '\\' && ch != ',') {
+        out_ << ch;
+      } else {
+        char esc[5];
+        std::snprintf(esc, sizeof esc, "\\x%02x", u);
+        out_ << esc;
+      }
+    }
+    out_ << '"';
+  }
+
+  std::ostringstream out_;
+};
+
+std::string golden_line(const std::string& name, const Fingerprint& f) {
+  LineWriter w(name);
+  w.field("ids", f.ids)
+      .field("decided", f.decided)
+      .field("decisions", f.decisions)
+      .field("decided_at", f.decided_at)
+      .field("value", f.value)
+      .field("first_delay", f.first_delay)
+      .field("msgs", f.msgs)
+      .field("reads", f.reads)
+      .field("writes", f.writes)
+      .field("perms", f.perms)
+      .field("sigs", f.sigs)
+      .field("verifs", f.verifs)
+      .field("slots", f.slots)
+      .field("cmds", f.cmds)
+      .field("p50", f.p50)
+      .field("p99", f.p99)
+      .field("p999", f.p999)
+      .field("qw50", f.qw50)
+      .field("qw99", f.qw99)
+      .field("occ_slots", f.occ_slots)
+      .field("occ_limit", f.occ_limit)
+      .field("tuner_epochs", f.tuner_epochs)
+      .field("tuner_trajectory", f.tuner_trajectory)
+      .field("kv_ops", f.kv_ops)
+      .field("kv_retries", f.kv_retries)
+      .field("kv_dups", f.kv_dups)
+      .field("kv_forged", f.kv_forged)
+      .field("kv_hash", f.kv_hash)
+      .field("kv_shard_ops", f.kv_shard_ops)
+      .field("kv_p50", f.kv_p50)
+      .field("kv_p99", f.kv_p99)
+      .field("kv_p999", f.kv_p999)
+      .field("rc_epoch", f.rc_epoch)
+      .field("rc_migrations", f.rc_migrations)
+      .field("rc_keys_moved", f.rc_keys_moved)
+      .field("rc_proposals", f.rc_proposals)
+      .field("rc_bounces", f.rc_bounces)
+      .field("rc_flips", f.rc_flips)
+      .field("snaps_taken", f.snaps_taken)
+      .field("snaps_installed", f.snaps_installed)
+      .field("truncated", f.truncated)
+      .field("catchup_bytes", f.catchup_bytes)
+      .field("rejoined_at", f.rejoined_at)
+      .field("txns", f.txns)
+      .field("txn_commits", f.txn_commits)
+      .field("txn_aborts", f.txn_aborts)
+      .field("txn_conflicts", f.txn_conflicts)
+      .field("txn_recoveries", f.txn_recoveries)
+      .field("txn_locks", f.txn_locks)
+      .field("txn_balance", f.txn_balance)
+      .field("txn_p50", f.txn_p50)
+      .field("txn_p999", f.txn_p999)
+      .field("tsend_deliveries", f.tsend_deliveries)
+      .field("entries_decoded", f.entries_decoded)
+      .field("entries_skipped", f.entries_skipped);
+  return w.str();
+}
+
+// --- The configs: each defined once, run by its own test below and by the
+// golden-corpus test. ---
+
+ClusterConfig cluster(Algorithm algo, std::size_t n, std::size_t m,
+                      std::uint64_t seed) {
+  ClusterConfig c;
+  c.algo = algo;
+  c.n = n;
+  c.m = m;
+  c.seed = seed;
+  return c;
+}
+
+ClusterConfig smr(ClusterConfig c, std::size_t commands, std::size_t batch,
+                  std::size_t window) {
+  c.smr.enabled = true;
+  c.smr.commands = commands;
+  c.smr.batch = batch;
+  c.smr.window = window;
+  return c;
+}
+
+struct Case {
+  std::string name;
+  std::function<ClusterConfig()> make;
+  bool check_ok = true;  // false: attack configs that trip validity accounting
+};
+
+const std::vector<Case>& cases() {
+  static const std::vector<Case> all = [] {
+    std::vector<Case> v;
+    v.push_back({"FastPaxos",
+                 [] { return cluster(Algorithm::kFastPaxos, 3, 0, 42); }});
+    v.push_back({"ProtectedMemoryPaxos", [] {
+                   return cluster(Algorithm::kProtectedMemoryPaxos, 2, 3, 42);
+                 }});
+    v.push_back({"AlignedPaxos",
+                 [] { return cluster(Algorithm::kAlignedPaxos, 3, 3, 42); }});
+    v.push_back({"FastRobust",
+                 [] { return cluster(Algorithm::kFastRobust, 3, 3, 42); }});
+    v.push_back({"FastRobustWithByzantineLeader",
+                 [] {
+                   ClusterConfig c = cluster(Algorithm::kFastRobust, 3, 3, 7);
+                   c.faults.byzantine[1] =
+                       ByzantineStrategy::kCqLeaderEquivocate;
+                   return c;
+                 },
+                 false});
+    v.push_back({"PaxosWithCrash", [] {
+                   ClusterConfig c = cluster(Algorithm::kPaxos, 3, 0, 11);
+                   c.faults.process_crashes[2] = 5;
+                   return c;
+                 }});
+    v.push_back({"SmrFastPaxosPipeline", [] {
+                   return smr(cluster(Algorithm::kFastPaxos, 3, 0, 42), 24, 2,
+                              4);
+                 }});
+    v.push_back({"SmrLeaderCrashMidWindow", [] {
+                   ClusterConfig c =
+                       smr(cluster(Algorithm::kFastPaxos, 3, 0, 7), 24, 2, 4);
+                   c.faults.process_crashes[1] = 6;
+                   return c;
+                 }});
+    v.push_back({"SmrFastRobustWithByzantineLeader",
+                 [] {
+                   ClusterConfig c =
+                       smr(cluster(Algorithm::kFastRobust, 3, 3, 9), 4, 2, 2);
+                   c.faults.byzantine[1] =
+                       ByzantineStrategy::kCqLeaderEquivocate;
+                   return c;
+                 },
+                 false});
+    v.push_back({"SmrFastRobustBackupPath",
+                 [] {
+                   ClusterConfig c =
+                       smr(cluster(Algorithm::kFastRobust, 3, 3, 13), 6, 2, 2);
+                   c.cq_timeout = 10;
+                   c.faults.byzantine[1] =
+                       ByzantineStrategy::kCqLeaderEquivocate;
+                   return c;
+                 },
+                 false});
+    v.push_back({"SmrCrashAndRejoin", [] {
+                   ClusterConfig c =
+                       smr(cluster(Algorithm::kFastPaxos, 3, 0, 7), 24, 2, 4);
+                   c.smr.snapshot_interval = 4;
+                   c.faults.process_crashes[1] = 6;
+                   c.faults.process_rejoins[1] = 400;
+                   return c;
+                 }});
+    v.push_back({"KvCrashAndRejoinRetryStorm", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastPaxos, 3, 0, 7);
+                   c.kv.enabled = true;
+                   c.kv.shards = 2;
+                   c.kv.clients = 6;
+                   c.kv.ops_per_client = 8;
+                   c.kv.batch = 1;
+                   c.kv.window = 2;
+                   c.kv.retry_timeout = 24;
+                   c.kv.snapshot_interval = 4;
+                   c.faults.process_crashes[1] = 7;
+                   c.faults.process_rejoins[1] = 600;
+                   return c;
+                 }});
+    v.push_back({"KvSignedCommands", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastRobust, 3, 3, 13);
+                   c.kv.enabled = true;
+                   c.kv.shards = 1;
+                   c.kv.clients = 2;
+                   c.kv.ops_per_client = 3;
+                   c.kv.sign_commands = true;
+                   c.faults.byzantine[1] =
+                       ByzantineStrategy::kForgeClientCommands;
+                   c.horizon = 200000;
+                   return c;
+                 }});
+    v.push_back({"KvSplitDuringZipfian", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastPaxos, 3, 0, 11);
+                   c.kv.enabled = true;
+                   c.kv.shards = 1;
+                   c.kv.clients = 8;
+                   c.kv.ops_per_client = 24;
+                   c.kv.dist = kv::KeyDist::kZipfian;
+                   c.kv.reconfig.push_back(
+                       {40, reconfig::ChangeKind::kSplit, 0, 1});
+                   return c;
+                 }});
+    v.push_back({"SmrAutoTuneTrajectory", [] {
+                   ClusterConfig c =
+                       smr(cluster(Algorithm::kFastPaxos, 3, 0, 42), 96, 1, 1);
+                   c.smr.auto_tune = true;
+                   return c;
+                 }});
+    v.push_back({"SmrAutoTuneUnderLeaderCrash", [] {
+                   ClusterConfig c =
+                       smr(cluster(Algorithm::kFastPaxos, 3, 0, 7), 64, 2, 2);
+                   c.smr.auto_tune = true;
+                   c.faults.process_crashes[1] = 6;
+                   return c;
+                 }});
+    v.push_back({"FixedConfigUnchangedByTunerPlumbing", [] {
+                   ClusterConfig c =
+                       smr(cluster(Algorithm::kFastPaxos, 3, 0, 42), 24, 2, 4);
+                   c.smr.auto_tune = false;
+                   return c;
+                 }});
+    v.push_back({"KvShardedZipfian", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastPaxos, 3, 0, 42);
+                   c.kv.enabled = true;
+                   c.kv.shards = 4;
+                   c.kv.clients = 8;
+                   c.kv.ops_per_client = 12;
+                   c.kv.mix = kv::Mix::kA;
+                   c.kv.dist = kv::KeyDist::kZipfian;
+                   return c;
+                 }});
+    v.push_back({"KvRetryStormLeaderCrash", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastPaxos, 3, 0, 7);
+                   c.kv.enabled = true;
+                   c.kv.shards = 2;
+                   c.kv.clients = 6;
+                   c.kv.ops_per_client = 8;
+                   c.kv.batch = 1;
+                   c.kv.window = 2;
+                   c.kv.retry_timeout = 3;
+                   c.faults.process_crashes[1] = 9;
+                   return c;
+                 }});
+    v.push_back({"KvAutoTuneWithAdaptiveRetry", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastPaxos, 3, 0, 21);
+                   c.kv.enabled = true;
+                   c.kv.shards = 2;
+                   c.kv.clients = 16;
+                   c.kv.ops_per_client = 12;
+                   c.kv.batch = 1;
+                   c.kv.window = 1;
+                   c.kv.auto_tune = true;
+                   c.kv.adaptive_retry = true;
+                   return c;
+                 }});
+    v.push_back({"KvFastRobustShard", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastRobust, 3, 3, 9);
+                   c.kv.enabled = true;
+                   c.kv.shards = 1;
+                   c.kv.clients = 2;
+                   c.kv.ops_per_client = 3;
+                   return c;
+                 }});
+    v.push_back({"KvTxnZipfianContention", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastPaxos, 3, 0, 17);
+                   c.kv.enabled = true;
+                   c.kv.shards = 3;
+                   c.kv.clients = 8;
+                   c.kv.ops_per_client = 16;
+                   c.kv.txn_fraction = 0.4;
+                   c.kv.accounts = 8;
+                   c.kv.txn_zipf_theta = 0.95;
+                   return c;
+                 }});
+    v.push_back({"KvTxnCoordinatorCrashRecovery", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastPaxos, 3, 0, 19);
+                   c.kv.enabled = true;
+                   c.kv.shards = 2;
+                   c.kv.clients = 6;
+                   c.kv.ops_per_client = 12;
+                   c.kv.txn_fraction = 0.5;
+                   c.kv.txn_crash_client = 1;
+                   c.kv.txn_crash_txn = 1;
+                   c.kv.txn_crash_records = 1;
+                   c.kv.txn_crash_pause = 200;
+                   return c;
+                 }});
+    v.push_back({"PlainKvUnchangedByTxnPlumbing", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastPaxos, 3, 0, 42);
+                   c.kv.enabled = true;
+                   c.kv.shards = 4;
+                   c.kv.clients = 8;
+                   c.kv.ops_per_client = 12;
+                   return c;
+                 }});
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      v.push_back({"SeedSweep" + std::to_string(seed), [seed] {
+                     return cluster(Algorithm::kFastPaxos, 3, 0, seed);
+                   }});
+    }
+    return v;
+  }();
+  return all;
+}
+
+const Case& find_case(const std::string& name) {
+  for (const Case& k : cases()) {
+    if (k.name == name) return k;
+  }
+  ADD_FAILURE() << "no config named " << name;
+  return cases().front();
+}
+
+ClusterConfig config(const std::string& name) {
+  return find_case(name).make();
+}
+
+void expect_deterministic(const std::string& name) {
+  const Case& k = find_case(name);
+  const ClusterConfig cfg = k.make();
   const RunReport a = run_cluster(cfg);
   const RunReport b = run_cluster(cfg);
-  if (check_ok) {
+  if (k.check_ok) {
     EXPECT_TRUE(a.all_ok()) << a.summary();
   }
   EXPECT_EQ(fingerprint(a), fingerprint(b))
       << "run 1: " << a.summary() << "\nrun 2: " << b.summary();
 }
 
+std::string golden_path() {
+  const std::string here = __FILE__;
+  return here.substr(0, here.find_last_of('/') + 1) + "golden/determinism.txt";
+}
+
+/// Fresh runs of every config against the checked-in corpus. With
+/// MNM_REGOLDEN=1 in the environment the corpus is rewritten instead
+/// (scripts/regolden.sh does that).
+TEST(Determinism, GoldenCorpusMatchesFreshRuns) {
+  std::vector<std::string> fresh;
+  for (const Case& k : cases()) {
+    fresh.push_back(golden_line(k.name, fingerprint(run_cluster(k.make()))));
+  }
+  const std::string path = golden_path();
+  if (std::getenv("MNM_REGOLDEN") != nullptr) {
+    std::ofstream out(path);
+    for (const std::string& line : fresh) out << line << '\n';
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot read " << path
+                         << " (run scripts/regolden.sh to create it)";
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) golden.push_back(line);
+  ASSERT_EQ(golden.size(), fresh.size()) << "config count changed";
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(golden[i], fresh[i]) << "config " << cases()[i].name;
+  }
+}
+
 TEST(Determinism, FastPaxosSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 42;
-  expect_deterministic(c);
+  expect_deterministic("FastPaxos");
 }
 
 TEST(Determinism, ProtectedMemoryPaxosSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kProtectedMemoryPaxos;
-  c.n = 2;
-  c.m = 3;
-  c.seed = 42;
-  expect_deterministic(c);
+  expect_deterministic("ProtectedMemoryPaxos");
 }
 
 TEST(Determinism, AlignedPaxosSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kAlignedPaxos;
-  c.n = 3;
-  c.m = 3;
-  c.seed = 42;
-  expect_deterministic(c);
+  expect_deterministic("AlignedPaxos");
 }
 
 TEST(Determinism, FastRobustSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kFastRobust;
-  c.n = 3;
-  c.m = 3;
-  c.seed = 42;
-  expect_deterministic(c);
+  expect_deterministic("FastRobust");
 }
 
 TEST(Determinism, FastRobustWithByzantineLeaderSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kFastRobust;
-  c.n = 3;
-  c.m = 3;
-  c.seed = 7;
-  c.faults.byzantine[1] = ByzantineStrategy::kCqLeaderEquivocate;
   // This attack config trips the harness's (strict) validity accounting in
   // the seed too; what this test pins is reproducibility under faults.
-  expect_deterministic(c, /*check_ok=*/false);
+  expect_deterministic("FastRobustWithByzantineLeader");
 }
 
 TEST(Determinism, PaxosWithCrashSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 11;
-  c.faults.process_crashes[2] = 5;
-  expect_deterministic(c);
+  expect_deterministic("PaxosWithCrash");
 }
 
 // --- SMR mode: the pipelined log is deterministic too. ---
 
 TEST(Determinism, SmrFastPaxosPipelineSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 42;
-  c.smr.enabled = true;
-  c.smr.commands = 24;
-  c.smr.batch = 2;
-  c.smr.window = 4;
-  expect_deterministic(c);
+  expect_deterministic("SmrFastPaxosPipeline");
 }
 
 TEST(Determinism, SmrLeaderCrashMidWindowSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 7;
-  c.smr.enabled = true;
-  c.smr.commands = 24;
-  c.smr.batch = 2;
-  c.smr.window = 4;
-  c.faults.process_crashes[1] = 6;
-  expect_deterministic(c);
+  expect_deterministic("SmrLeaderCrashMidWindow");
 }
 
 TEST(Determinism, SmrFastRobustWithByzantineLeaderSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kFastRobust;
-  c.n = 3;
-  c.m = 3;
-  c.seed = 9;
-  c.smr.enabled = true;
-  c.smr.commands = 4;
-  c.smr.batch = 2;
-  c.smr.window = 2;
-  c.faults.byzantine[1] = ByzantineStrategy::kCqLeaderEquivocate;
   // As in the single-shot Byzantine pin: what matters is reproducibility.
-  expect_deterministic(c, /*check_ok=*/false);
+  expect_deterministic("SmrFastRobustWithByzantineLeader");
 }
 
 TEST(Determinism, SmrFastRobustBackupPathSameSeedSameRun) {
@@ -259,21 +599,10 @@ TEST(Determinism, SmrFastRobustBackupPathSameSeedSameRun) {
   // slot runs the t-send path, so this fingerprint — which includes the
   // suffix-decode counters — pins that the decode optimization changes cost
   // accounting deterministically and leaves the (time, seq) schedule alone.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastRobust;
-  c.n = 3;
-  c.m = 3;
-  c.seed = 13;
-  c.cq_timeout = 10;
-  c.smr.enabled = true;
-  c.smr.commands = 6;
-  c.smr.batch = 2;
-  c.smr.window = 2;
-  c.faults.byzantine[1] = ByzantineStrategy::kCqLeaderEquivocate;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("SmrFastRobustBackupPath"));
   EXPECT_GT(a.tsend_deliveries, 0u) << a.summary();
   EXPECT_GT(a.history_entries_skipped, 0u) << a.summary();
-  expect_deterministic(c, /*check_ok=*/false);
+  expect_deterministic("SmrFastRobustBackupPath");
 }
 
 // --- Crash-and-rejoin: the whole recovery trajectory is deterministic. ---
@@ -284,48 +613,21 @@ TEST(Determinism, SmrCrashAndRejoinSameSeedSameRun) {
   // schedule. The fingerprint pins the recovery counters and the rejoin
   // timestamps, so a drifting catch-up (different snapshot slot, different
   // fetched byte count) cannot hide behind an eventually-equal log.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 7;
-  c.smr.enabled = true;
-  c.smr.commands = 24;
-  c.smr.batch = 2;
-  c.smr.window = 4;
-  c.smr.snapshot_interval = 4;
-  c.faults.process_crashes[1] = 6;
-  c.faults.process_rejoins[1] = 400;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("SmrCrashAndRejoin"));
   EXPECT_GT(a.snapshots_installed, 0u) << a.summary();
   EXPECT_GT(a.slots_truncated, 0u) << a.summary();
   EXPECT_GT(a.catchup_bytes, 0u) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("SmrCrashAndRejoin");
 }
 
 TEST(Determinism, KvCrashAndRejoinRetryStormSameSeedSameRun) {
   // Rejoin under the adversarial KV schedule: client retries racing the
   // restart, session dedup across the snapshot boundary, shard routers
   // rebinding to the new incarnation. All of it must replay byte-for-byte.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 7;
-  c.kv.enabled = true;
-  c.kv.shards = 2;
-  c.kv.clients = 6;
-  c.kv.ops_per_client = 8;
-  c.kv.batch = 1;
-  c.kv.window = 2;
-  c.kv.retry_timeout = 24;
-  c.kv.snapshot_interval = 4;
-  c.faults.process_crashes[1] = 7;
-  c.faults.process_rejoins[1] = 600;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("KvCrashAndRejoinRetryStorm"));
   EXPECT_GT(a.snapshots_installed, 0u) << a.summary();
   EXPECT_GT(a.catchup_bytes, 0u) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("KvCrashAndRejoinRetryStorm");
 }
 
 TEST(Determinism, KvSignedCommandsSameSeedSameRun) {
@@ -334,21 +636,9 @@ TEST(Determinism, KvSignedCommandsSameSeedSameRun) {
   // so the whole signed run — wires, verification counts, store hashes —
   // must replay byte-for-byte. A Byzantine forger is in the mix so the
   // kv_forged counter (part of the fingerprint) is exercised too.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastRobust;
-  c.n = 3;
-  c.m = 3;
-  c.seed = 13;
-  c.kv.enabled = true;
-  c.kv.shards = 1;
-  c.kv.clients = 2;
-  c.kv.ops_per_client = 3;
-  c.kv.sign_commands = true;
-  c.faults.byzantine[1] = ByzantineStrategy::kForgeClientCommands;
-  c.horizon = 200000;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("KvSignedCommands"));
   EXPECT_EQ(a.kv_forged, 2u) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("KvSignedCommands");
 }
 
 TEST(Determinism, KvSplitDuringZipfianSameSeedSameRun) {
@@ -357,22 +647,11 @@ TEST(Determinism, KvSplitDuringZipfianSameSeedSameRun) {
   // installs, and in-flight ops bounce with WrongEpoch and re-route. The
   // whole interleaving — flip times, keys moved, every bounce — must replay
   // byte-for-byte from the same seed.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 11;
-  c.kv.enabled = true;
-  c.kv.shards = 1;
-  c.kv.clients = 8;
-  c.kv.ops_per_client = 24;
-  c.kv.dist = kv::KeyDist::kZipfian;
-  c.kv.reconfig.push_back({40, reconfig::ChangeKind::kSplit, 0, 1});
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("KvSplitDuringZipfian"));
   EXPECT_EQ(a.reconfig_epoch, 1u) << a.summary();
   EXPECT_GT(a.reconfig_keys_moved, 0u) << a.summary();
   EXPECT_GT(a.reconfig_bounces, 0u) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("KvSplitDuringZipfian");
 }
 
 // --- Auto-tuning: the adaptation trajectory is itself deterministic. ---
@@ -381,101 +660,46 @@ TEST(Determinism, SmrAutoTuneTrajectorySameSeedSameRun) {
   // The controller's per-epoch window/batch decisions ride on executor-time
   // signals only; a fixed seed must pin the whole trajectory (the
   // fingerprint compares it byte-for-byte), not just the final settings.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 42;
-  c.smr.enabled = true;
-  c.smr.commands = 96;
-  c.smr.batch = 1;
-  c.smr.window = 1;
-  c.smr.auto_tune = true;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("SmrAutoTuneTrajectory"));
   EXPECT_GT(a.tuner_epochs, 0u) << a.summary();
   EXPECT_FALSE(a.tuner_trajectory.empty()) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("SmrAutoTuneTrajectory");
 }
 
 TEST(Determinism, SmrAutoTuneUnderLeaderCrashSameSeedSameRun) {
   // Adaptation across a leader hand-off: the dead leader's tuner stops, the
   // new leader's adapts from scratch mid-run — all of it on the same
   // deterministic schedule.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 7;
-  c.smr.enabled = true;
-  c.smr.commands = 64;
-  c.smr.batch = 2;
-  c.smr.window = 2;
-  c.smr.auto_tune = true;
-  c.faults.process_crashes[1] = 6;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("SmrAutoTuneUnderLeaderCrash"));
   EXPECT_FALSE(a.tuner_trajectory.empty()) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("SmrAutoTuneUnderLeaderCrash");
 }
 
 TEST(Determinism, FixedConfigFingerprintUnchangedByTunerPlumbing) {
   // auto_tune=false must behave exactly as if the tuner did not exist:
   // no trajectory, no epochs — and the run fingerprints equal.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 42;
-  c.smr.enabled = true;
-  c.smr.commands = 24;
-  c.smr.batch = 2;
-  c.smr.window = 4;
-  c.smr.auto_tune = false;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("FixedConfigUnchangedByTunerPlumbing"));
   EXPECT_EQ(a.tuner_epochs, 0u);
   EXPECT_TRUE(a.tuner_trajectory.empty());
-  expect_deterministic(c);
+  expect_deterministic("FixedConfigUnchangedByTunerPlumbing");
 }
 
 // --- KV mode: the sharded store inherits the determinism invariant. ---
 
 TEST(Determinism, KvShardedZipfianSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 42;
-  c.kv.enabled = true;
-  c.kv.shards = 4;
-  c.kv.clients = 8;
-  c.kv.ops_per_client = 12;
-  c.kv.mix = kv::Mix::kA;
-  c.kv.dist = kv::KeyDist::kZipfian;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("KvShardedZipfian"));
   EXPECT_EQ(a.kv_shard_ops.size(), 4u) << a.summary();
   EXPECT_GT(a.kv_store_hash, 0u);
-  expect_deterministic(c);
+  expect_deterministic("KvShardedZipfian");
 }
 
 TEST(Determinism, KvRetryStormLeaderCrashSameSeedSameRun) {
   // The adversarial schedule: duplicates from client retries AND a leader
   // hand-off. The fingerprint pins that retry timing, dedup decisions and
   // reply delivery are all on the deterministic (time, seq) schedule.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 7;
-  c.kv.enabled = true;
-  c.kv.shards = 2;
-  c.kv.clients = 6;
-  c.kv.ops_per_client = 8;
-  c.kv.batch = 1;
-  c.kv.window = 2;
-  c.kv.retry_timeout = 3;
-  c.faults.process_crashes[1] = 9;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("KvRetryStormLeaderCrash"));
   EXPECT_GT(a.kv_duplicates, 0u) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("KvRetryStormLeaderCrash");
 }
 
 TEST(Determinism, KvAutoTuneWithAdaptiveRetrySameSeedSameRun) {
@@ -483,36 +707,14 @@ TEST(Determinism, KvAutoTuneWithAdaptiveRetrySameSeedSameRun) {
   // Router's flush-hold packing decisions, and latency-derived retry
   // deadlines. All signals are sim-time-derived, so the whole closed loop
   // must fingerprint identically run to run.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 21;
-  c.kv.enabled = true;
-  c.kv.shards = 2;
-  c.kv.clients = 16;
-  c.kv.ops_per_client = 12;
-  c.kv.batch = 1;
-  c.kv.window = 1;
-  c.kv.auto_tune = true;
-  c.kv.adaptive_retry = true;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("KvAutoTuneWithAdaptiveRetry"));
   EXPECT_GT(a.tuner_epochs, 0u) << a.summary();
   EXPECT_FALSE(a.tuner_trajectory.empty()) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("KvAutoTuneWithAdaptiveRetry");
 }
 
 TEST(Determinism, KvFastRobustShardSameSeedSameRun) {
-  ClusterConfig c;
-  c.algo = Algorithm::kFastRobust;
-  c.n = 3;
-  c.m = 3;
-  c.seed = 9;
-  c.kv.enabled = true;
-  c.kv.shards = 1;
-  c.kv.clients = 2;
-  c.kv.ops_per_client = 3;
-  expect_deterministic(c);
+  expect_deterministic("KvFastRobustShard");
 }
 
 // --- Transactions: the 2PC mix and its crash recovery replay too. ---
@@ -523,22 +725,10 @@ TEST(Determinism, KvTxnZipfianContentionSameSeedSameRun) {
   // records releasing locks. The fingerprint folds the commit/abort split,
   // the conflict count and the lock-table state (via kv_hash), so a drifted
   // 2PC interleaving cannot hide behind equal op counts.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 17;
-  c.kv.enabled = true;
-  c.kv.shards = 3;
-  c.kv.clients = 8;
-  c.kv.ops_per_client = 16;
-  c.kv.txn_fraction = 0.4;
-  c.kv.accounts = 8;
-  c.kv.txn_zipf_theta = 0.95;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("KvTxnZipfianContention"));
   EXPECT_GT(a.kv_txns, 0u) << a.summary();
   EXPECT_GT(a.kv_txn_aborts, 0u) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("KvTxnZipfianContention");
 }
 
 TEST(Determinism, KvTxnCoordinatorCrashRecoverySameSeedSameRun) {
@@ -546,44 +736,21 @@ TEST(Determinism, KvTxnCoordinatorCrashRecoverySameSeedSameRun) {
   // one completed prepare (one lock held through the pause), then the
   // presumed-abort replay re-drives the stream under the original seqs.
   // The whole crash + recovery trajectory must replay byte-for-byte.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 19;
-  c.kv.enabled = true;
-  c.kv.shards = 2;
-  c.kv.clients = 6;
-  c.kv.ops_per_client = 12;
-  c.kv.txn_fraction = 0.5;
-  c.kv.txn_crash_client = 1;
-  c.kv.txn_crash_txn = 1;
-  c.kv.txn_crash_records = 1;
-  c.kv.txn_crash_pause = 200;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("KvTxnCoordinatorCrashRecovery"));
   EXPECT_EQ(a.kv_txn_recoveries, 1u) << a.summary();
   EXPECT_EQ(a.kv_locks_held, 0u) << a.summary();
-  expect_deterministic(c);
+  expect_deterministic("KvTxnCoordinatorCrashRecovery");
 }
 
 TEST(Determinism, PlainKvFingerprintUnchangedByTxnPlumbing) {
   // txn_fraction = 0 must behave exactly as if the transaction subsystem
   // did not exist: no txn rng draws, no txn counters, no lock fold in the
   // store hash — and the run fingerprints equal.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 42;
-  c.kv.enabled = true;
-  c.kv.shards = 4;
-  c.kv.clients = 8;
-  c.kv.ops_per_client = 12;
-  const RunReport a = run_cluster(c);
+  const RunReport a = run_cluster(config("PlainKvUnchangedByTxnPlumbing"));
   EXPECT_EQ(a.kv_txns, 0u);
   EXPECT_EQ(a.kv_txn_balance, 0);
   EXPECT_EQ(a.kv_locks_held, 0u);
-  expect_deterministic(c);
+  expect_deterministic("PlainKvUnchangedByTxnPlumbing");
 }
 
 /// Different seeds may legitimately differ, but every seed must be
@@ -591,11 +758,7 @@ TEST(Determinism, PlainKvFingerprintUnchangedByTxnPlumbing) {
 /// between runs (e.g. a pool whose reuse pattern changed scheduling).
 TEST(Determinism, SeedSweepIsReproducible) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    ClusterConfig c;
-    c.algo = Algorithm::kFastPaxos;
-    c.n = 3;
-    c.m = 0;
-    c.seed = seed;
+    const ClusterConfig c = config("SeedSweep" + std::to_string(seed));
     const RunReport a = run_cluster(c);
     const RunReport b = run_cluster(c);
     EXPECT_EQ(fingerprint(a), fingerprint(b)) << "seed " << seed;
