@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Compare a fresh google-benchmark JSON against a checked-in baseline.
 
-Guards the virtual-time throughput counters (``ops_per_kdelay``,
-``cmds_per_kdelay``) by default: they are derived from simulator time, so
-they are machine-independent and meaningful even on a loaded CI runner.
-A row regresses when its fresh counter drops more than ``--threshold``
-(default 15%) below the baseline. Wall-clock ``items_per_second`` is only
-compared behind ``--wall-clock`` — it guards local runs on a quiet box,
-not CI.
+Guards the virtual-time counters by default: they are derived from
+simulator time, so they are machine-independent and meaningful even on a
+loaded CI runner. Throughput (``ops_per_kdelay``, ``cmds_per_kdelay``) is
+higher-is-better: a row regresses when its fresh counter drops more than
+``--threshold`` (default 15%) below the baseline. Tail latency
+(``op_p999``, ``commit_p999``, ``txn_p999``) is lower-is-better: a row
+regresses when its fresh counter rises more than ``--threshold`` above the
+baseline. Either way a counter is compared only where the baseline is
+above zero. Wall-clock ``items_per_second`` is only compared behind
+``--wall-clock`` — it guards local runs on a quiet box, not CI.
 
 Rows present in the baseline but missing from the fresh run fail the
 comparison (a deleted guard row is a silent loss of coverage); rows only
@@ -23,8 +26,10 @@ import argparse
 import json
 import sys
 
-# Higher-is-better virtual-time counters, in simulator time units.
+# Virtual-time counters, in simulator time units: throughput is
+# higher-is-better, tail latency lower-is-better.
 VIRTUAL_COUNTERS = ("ops_per_kdelay", "cmds_per_kdelay")
+LATENCY_COUNTERS = ("op_p999", "commit_p999", "txn_p999")
 WALL_COUNTERS = ("items_per_second",)
 
 
@@ -48,7 +53,7 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("fresh")
     ap.add_argument("--threshold", type=float, default=0.15,
-                    help="max allowed fractional drop (default 0.15)")
+                    help="max allowed fractional loss (default 0.15)")
     ap.add_argument("--wall-clock", action="store_true",
                     help="also compare wall-clock items_per_second")
     args = ap.parse_args()
@@ -56,7 +61,7 @@ def main():
     base = load_rows(args.baseline)
     fresh = load_rows(args.fresh)
 
-    counters = list(VIRTUAL_COUNTERS)
+    counters = list(VIRTUAL_COUNTERS) + list(LATENCY_COUNTERS)
     if args.wall_clock:
         counters += list(WALL_COUNTERS)
 
@@ -76,13 +81,16 @@ def main():
                 failures.append(f"{name}: counter {c} missing from fresh run")
                 continue
             compared += 1
-            drop = (bval - fval) / bval
-            status = "FAIL" if drop > args.threshold else "ok"
+            # Fractional loss: a drop for throughput, a rise for latency.
+            loss = (bval - fval) / bval
+            if c in LATENCY_COUNTERS:
+                loss = -loss
+            status = "FAIL" if loss > args.threshold else "ok"
             print(f"{status:4s} {name:40s} {c}: "
-                  f"{bval:.6g} -> {fval:.6g} ({-drop:+.1%})")
-            if drop > args.threshold:
+                  f"{bval:.6g} -> {fval:.6g} ({(fval - bval) / bval:+.1%})")
+            if loss > args.threshold:
                 failures.append(
-                    f"{name}: {c} regressed {drop:.1%} "
+                    f"{name}: {c} regressed {loss:.1%} "
                     f"({bval:.6g} -> {fval:.6g}, threshold "
                     f"{args.threshold:.0%})")
     for name in sorted(set(fresh) - set(base)):

@@ -5,12 +5,14 @@
 //    stated table size: the seal and purge payloads, and the range-snapshot
 //    request a Migrator broadcasts on a source group's catch-up control
 //    channel.
-//  * RangeSnapshot is the drained state of a sealed range: the (key, value)
-//    pairs of the moving buckets plus the source machine's full session
-//    table (merged max-seq at the destination, so a retry straddling the
-//    epoch flip still deduplicates), with an embedded FNV-1a digest the
-//    decoder recomputes — a corrupted or forged drain fails closed before
-//    any import.
+//  * Records are a KV state machine's record tables — store pairs,
+//    sessions, transaction locks, prepare marks — with their one codec.
+//    StateMachine::snapshot() and RangeSnapshot both use it, so canonical
+//    order and field validity are checked in one place.
+//  * RangeSnapshot is the drained state of a sealed range: the Records of
+//    the moving buckets, with an embedded FNV-1a digest the decoder
+//    recomputes — a corrupted or forged drain fails closed before any
+//    import.
 //
 // Both decoders are strict and total, mirroring the catch-up decoder
 // hygiene: these bytes travel through consensus slots (a Byzantine proposer
@@ -29,6 +31,7 @@
 #include "src/common.hpp"
 #include "src/kv/command.hpp"
 #include "src/kv/shard.hpp"
+#include "src/util/serde.hpp"
 
 namespace mnm::kv {
 
@@ -48,7 +51,26 @@ Bytes encode_range_spec(const RangeSpec& spec);
 /// table, an empty / unsorted / out-of-range bucket list. Never throws.
 std::optional<RangeSpec> decode_range_spec(util::ByteView raw);
 
-/// One client session record as drained from a source machine.
+/// One transaction lock: the pending write a TxnPrepare buffered on its
+/// key, applied on commit, discarded on abort. The guard fields record the
+/// prepare's full payload so a re-prepare by the same (txn, owner) is
+/// idempotent only when byte-identical — an equivocating coordinator
+/// re-preparing with different bytes is refused, never silently merged.
+/// Locks migrate with their bucket, which is what lets a 2PC transaction
+/// straddle a live reshard: the commit/abort record re-routes to the new
+/// owner and finds the lock there.
+struct Lock {
+  std::uint64_t txn = 0;
+  ClientId owner = 0;      // coordinator session that prepared it
+  std::uint8_t write = 1;  // txn::WriteKind of the buffered mutation
+  Bytes value;             // pending kPut payload (empty for kDel)
+  bool has_expected = false;  // optimistic guard carried by the prepare
+  Bytes expected;             // guard value (empty when !has_expected)
+
+  bool operator==(const Lock&) const = default;
+};
+
+/// One client session record: last applied seq and its cached reply.
 struct SessionRecord {
   ClientId client = 0;
   std::uint64_t last_seq = 0;
@@ -57,56 +79,56 @@ struct SessionRecord {
   bool operator==(const SessionRecord&) const = default;
 };
 
-/// One transaction lock (+ its buffered pending write) as drained from a
-/// source machine — what lets a 2PC transaction straddle a live reshard:
-/// the lock migrates with its bucket, and the commit/abort record re-routes
-/// to the new owner and finds it there.
-struct LockRecord {
-  Bytes key;
-  std::uint64_t txn = 0;
-  ClientId owner = 0;      // coordinator session holding the lock
-  std::uint8_t write = 1;  // txn::WriteKind of the pending mutation
-  Bytes value;             // pending kPut payload (empty for kDel)
-  std::uint8_t has_expected = 0;  // prepare carried an optimistic guard
-  Bytes expected;                 // guard value (empty when !has_expected)
-
-  bool operator==(const LockRecord&) const = default;
-};
-
-/// One session prepare mark as drained from a source machine: the seq and
-/// outcome of the client's newest TxnPrepare there. Merged by max seq at
-/// the destination (like the session records it extends), so a coordinator
-/// replaying a pre-seal prepare at the new owner reads its true outcome.
+/// One session prepare mark: the seq and outcome of the client's newest
+/// TxnPrepare. It extends the client's session record, so a mark always
+/// has one; INSTALL merges marks by max seq, like the sessions.
 struct PrepareMark {
   ClientId client = 0;
-  std::uint64_t seq = 0;    // never 0 — a zero mark means "none", not drained
+  std::uint64_t seq = 0;    // never 0 — a zero mark means "none"
   std::uint8_t status = 1;  // kv::Status of the prepare outcome
   bool operator==(const PrepareMark&) const = default;
 };
 
-/// The drained state of a sealed range. pairs are in store (map) order,
-/// sessions and prepare_marks in client-id order, locks in key order —
-/// canonical, so equal drains are byte-identical and the digest doubles as
-/// a fingerprint. The transaction tail (locks, prepare_marks) is encoded as
-/// tagged sections, each present only when non-empty and in ascending tag
-/// order — a transaction-free drain carries no tail at all and stays
-/// byte-identical to the pre-transaction codec.
-struct RangeSnapshot {
-  RangeSpec spec;
+/// The record tables of a KV state machine, or a drained slice of them:
+/// pairs and locks in key order, sessions and prepare marks in client
+/// order — canonical, so equal tables encode to identical bytes. The one
+/// codec for these tables: StateMachine snapshots and RangeSnapshots both
+/// carry them as four count-prefixed sections, always present, in the
+/// order below.
+struct Records {
   std::vector<std::pair<Bytes, Bytes>> pairs;
   std::vector<SessionRecord> sessions;
-  std::vector<LockRecord> locks;
+  std::vector<std::pair<Bytes, Lock>> locks;
   std::vector<PrepareMark> prepare_marks;
+
+  bool operator==(const Records&) const = default;
+};
+
+void encode_records(util::Writer& w, const Records& recs);
+/// Strict decode of the four sections. False on a non-canonical form:
+/// keys or clients out of order or repeated, a session caching a
+/// non-persistable status, a lock with an unknown write kind or guard
+/// flag or guard bytes without the flag, a prepare mark with seq 0, a
+/// status no prepare produces, or no session to extend. Truncation throws
+/// util::SerdeError, as the Reader does. Counts are attacker-controlled:
+/// pre-sizing is bounded by the bytes present.
+bool decode_records(util::Reader& r, Records& out);
+
+/// The drained state of a sealed range: the moving buckets' pairs and
+/// locks plus the source machine's full session table and prepare marks
+/// (merged by max seq at the destination, so a retry or a coordinator
+/// replay straddling the epoch flip still finds its outcome), followed by
+/// an FNV-1a digest of the encoded bytes.
+struct RangeSnapshot : Records {
+  RangeSpec spec;
 
   bool operator==(const RangeSnapshot&) const = default;
 };
 
-/// Digest the decoder recomputes: FNV-1a over spec, pairs and sessions.
-std::uint64_t range_snapshot_digest(const RangeSnapshot& snap);
-
 Bytes encode_range_snapshot(const RangeSnapshot& snap);
-/// Strict decode + digest check: nullopt on malformed bytes, out-of-order
-/// pairs/sessions, or a digest mismatch — state never partially imports.
+/// Strict decode + digest check: nullopt on malformed or non-canonical
+/// bytes (see decode_records) or a digest mismatch — state never partially
+/// imports.
 std::optional<RangeSnapshot> decode_range_snapshot(util::ByteView raw);
 
 }  // namespace mnm::kv

@@ -1,31 +1,16 @@
 #include "src/kv/state_machine.hpp"
 
+#include <array>
 #include <utility>
 
 #include "src/txn/record.hpp"
+#include "src/util/fnv.hpp"
 #include "src/util/serde.hpp"
 
 namespace mnm::kv {
 
-namespace {
-
-inline std::uint64_t fnv1a(std::uint64_t h, util::ByteView bytes) {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<std::uint8_t>(v >> (i * 8));
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-}  // namespace
+using util::fnv1a;
+using util::fnv1a_u64;
 
 void StateMachine::configure_partition(std::uint32_t group,
                                        const ShardTable& initial) {
@@ -377,15 +362,7 @@ Reply StateMachine::apply_admin(const Command& c) {
       // Locks migrate with their buckets: a transaction prepared before the
       // split finds its lock here when the commit/abort record re-routes,
       // so it still decides exactly once.
-      for (const LockRecord& rec : snap->locks) {
-        Lock& l = locks_[rec.key];
-        l.txn = rec.txn;
-        l.owner = rec.owner;
-        l.write = rec.write;
-        l.value = rec.value;
-        l.has_expected = rec.has_expected != 0;
-        l.expected = rec.expected;
-      }
+      for (const auto& [k, l] : snap->locks) locks_[k] = l;
       // Prepare marks merge by max seq, the same monotone rule as the
       // session records they extend: the machine holding a client's newest
       // prepare also holds the only prepare outcome a recovering
@@ -450,45 +427,33 @@ Bytes StateMachine::export_range(util::ByteView request) const {
   }
   std::vector<std::uint8_t> take(owned_.size(), 0);
   for (const std::uint32_t b : spec->buckets) take[b] = 1;
-  RangeSnapshot snap;
-  snap.spec = *spec;
+  return encode_range_snapshot({export_records(take), *spec});
+}
+
+Records StateMachine::export_records(
+    const std::vector<std::uint8_t>& take) const {
+  const auto taken = [&](const Bytes& key) {
+    return take.empty() || take[ShardMap::key_hash(key) % take.size()] != 0;
+  };
+  Records out;
   for (const auto& [k, v] : store_) {
-    if (take[ShardMap::key_hash(k) % owned_.size()] != 0) {
-      snap.pairs.emplace_back(k, v);
-    }
+    if (taken(k)) out.pairs.emplace_back(k, v);
   }
+  // Sessions and their prepare marks always travel whole: a retry or a
+  // coordinator replay straddling an epoch flip must find its outcome at
+  // the new owner whichever key it touched.
   for (const auto& [client, s] : sessions_) {
-    SessionRecord rec;
-    rec.client = client;
-    rec.last_seq = s.last_seq;
-    rec.reply = s.last_reply;
-    snap.sessions.push_back(std::move(rec));
+    out.sessions.push_back({client, s.last_seq, s.last_reply});
+    if (s.last_prepare_seq != 0) {
+      out.prepare_marks.push_back(
+          {client, s.last_prepare_seq,
+           static_cast<std::uint8_t>(s.last_prepare_status)});
+    }
   }
   for (const auto& [k, l] : locks_) {
-    if (take[ShardMap::key_hash(k) % owned_.size()] != 0) {
-      LockRecord rec;
-      rec.key = k;
-      rec.txn = l.txn;
-      rec.owner = l.owner;
-      rec.write = l.write;
-      rec.value = l.value;
-      rec.has_expected = l.has_expected ? 1 : 0;
-      rec.expected = l.expected;
-      snap.locks.push_back(std::move(rec));
-    }
+    if (taken(k)) out.locks.emplace_back(k, l);
   }
-  // Prepare marks travel with the full session table (they extend it): a
-  // coordinator whose prepare landed pre-seal can crash and replay it at
-  // the new owner and still read the original outcome.
-  for (const auto& [client, s] : sessions_) {
-    if (s.last_prepare_seq == 0) continue;
-    PrepareMark m;
-    m.client = client;
-    m.seq = s.last_prepare_seq;
-    m.status = static_cast<std::uint8_t>(s.last_prepare_status);
-    snap.prepare_marks.push_back(m);
-  }
-  return encode_range_snapshot(snap);
+  return out;
 }
 
 bool StateMachine::txn_active() const {
@@ -550,7 +515,7 @@ std::uint64_t StateMachine::partition_fold(std::uint64_t h) const {
 }
 
 std::uint64_t StateMachine::store_hash() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = util::kFnvOffset;
   for (const auto& [k, v] : store_) {
     h = fnv1a(h, k);
     h = fnv1a(h, v);
@@ -572,317 +537,83 @@ std::uint64_t StateMachine::store_hash() const {
   return h;
 }
 
+template <class Self>
+auto StateMachine::counters(Self& m) {
+  return std::array{&m.ops_applied_,    &m.duplicates_,    &m.malformed_,
+                    &m.forged_,         &m.admin_applied_, &m.bounces_,
+                    &m.admin_rejected_, &m.keys_imported_, &m.keys_purged_,
+                    &m.txn_prepared_,   &m.txn_committed_, &m.txn_aborted_,
+                    &m.txn_conflicts_,  &m.txn_orphans_,   &m.txn_rejected_};
+}
+
+std::uint64_t StateMachine::snapshot_digest() const {
+  // The agreement fold extended over every counter, including the ones
+  // store_hash() leaves out or folds only in partitioned / transactional
+  // mode, so the digest covers every byte restore() adopts.
+  std::uint64_t h = store_hash();
+  for (const std::uint64_t* c : counters(*this)) h = fnv1a_u64(h, *c);
+  return h;
+}
+
 Bytes StateMachine::snapshot() const {
-  util::Writer w(64);
-  w.u32(static_cast<std::uint32_t>(store_.size()));
-  for (const auto& [k, v] : store_) w.bytes(k).bytes(v);
-  w.u32(static_cast<std::uint32_t>(sessions_.size()));
-  for (const auto& [client, s] : sessions_) {
-    w.u64(client)
-        .u64(s.last_seq)
-        .u8(static_cast<std::uint8_t>(s.last_reply.status))
-        .bytes(s.last_reply.value);
-  }
-  w.u64(ops_applied_).u64(duplicates_).u64(malformed_);
-  // The forged counter rides along whenever it can matter: in signed mode,
-  // and when a restored signed-mode count must survive another hop through
-  // a not-yet-armed machine. Legacy (signing-off) snapshot bytes stay
-  // identical to the pre-signing codec. restore() does not need to guess
-  // the layout from wiring — the trailing digest covers the field, so the
-  // bytes are self-describing (see restore()).
-  const bool with_forged = keystore_ != nullptr || forged_ != 0;
-  if (with_forged) w.u64(forged_);
+  util::Writer w(256);
+  for (const std::uint64_t* c : counters(*this)) w.u64(*c);
   // Partition section: a rejoiner restoring this snapshot lands in the
   // post-split world — table geometry, ownership and epoch included —
   // before it chases the log tip.
   w.u8(partitioned_ ? 1 : 0);
-  if (partitioned_) {
-    w.u32(group_).u64(cfg_epoch_).bytes(owned_);
-    w.u64(admin_applied_).u64(bounces_).u64(admin_rejected_);
-    w.u64(keys_imported_).u64(keys_purged_);
-  }
-  // Txn section — same self-describing pattern as the forged field: present
-  // exactly when transaction state exists, resolved on restore by the
-  // digest, never by wiring. Transaction-free snapshots keep the
-  // pre-transaction bytes.
-  const bool with_txn = txn_active();
-  if (with_txn) {
-    w.u32(static_cast<std::uint32_t>(locks_.size()));
-    for (const auto& [k, l] : locks_) {
-      w.bytes(k).u64(l.txn).u64(l.owner).u8(l.write).bytes(l.value);
-      w.u8(l.has_expected ? 1 : 0).bytes(l.expected);
-    }
-    w.u64(txn_prepared_).u64(txn_committed_).u64(txn_aborted_);
-    w.u64(txn_conflicts_).u64(txn_orphans_).u64(txn_rejected_);
-    // Prepare marks, client order (canonical — sessions_ is ordered).
-    std::uint32_t nmarks = 0;
-    for (const auto& [client, s] : sessions_) {
-      if (s.last_prepare_seq != 0) ++nmarks;
-    }
-    w.u32(nmarks);
-    for (const auto& [client, s] : sessions_) {
-      if (s.last_prepare_seq == 0) continue;
-      w.u64(client).u64(s.last_prepare_seq);
-      w.u8(static_cast<std::uint8_t>(s.last_prepare_status));
-    }
-  }
-  // Trailing digest: the store_hash() fold extended over the counters the
-  // replicated-state hash leaves out, so the digest covers every byte an
-  // installer will adopt and any corruption fails closed on restore.
-  std::uint64_t digest = fnv1a_u64(fnv1a_u64(store_hash(), duplicates_),
-                                   malformed_);
-  if (with_forged) digest = fnv1a_u64(digest, forged_);
-  if (partitioned_) digest = fnv1a_u64(digest, admin_rejected_);
-  if (with_txn) digest = fnv1a_u64(digest, txn_rejected_);
-  w.u64(digest);
+  if (partitioned_) w.u32(group_).u64(cfg_epoch_).bytes(owned_);
+  encode_records(w, export_records({}));
+  w.u64(snapshot_digest());
   return std::move(w).take();
 }
 
-namespace {
-
-struct DecodedSession {
-  std::uint64_t last_seq = 0;
-  Reply last_reply;
-  std::uint64_t last_prepare_seq = 0;
-  Status last_prepare_status = Status::kOk;
-};
-
-/// The only statuses a TxnPrepare can produce — what a prepare mark (or a
-/// drained PrepareMark record) may carry.
-inline bool prepare_status_valid(std::uint8_t status) {
-  const auto st = static_cast<Status>(status);
-  return st == Status::kOk || st == Status::kTxnConflict ||
-         st == Status::kTxnAborted;
-}
-
-/// Everything restore() decodes before committing any of it.
-struct DecodedSnapshot {
-  std::map<Bytes, Bytes> store;
-  std::map<ClientId, DecodedSession> sessions;
-  std::uint64_t ops = 0, dups = 0, malformed = 0, forged = 0;
-  bool partitioned = false;
-  std::uint32_t group = 0;
-  std::uint64_t cfg_epoch = 0;
-  Bytes owned;
-  std::uint64_t admin_applied = 0, bounces = 0, admin_rejected = 0;
-  std::uint64_t keys_imported = 0, keys_purged = 0;
-  std::map<Bytes, StateMachine::Lock> locks;
-  std::uint64_t txn_prepared = 0, txn_committed = 0, txn_aborted = 0;
-  std::uint64_t txn_conflicts = 0, txn_orphans = 0, txn_rejected = 0;
-};
-
-/// One layout attempt: decode `raw` with or without the forged field and
-/// the txn section, recompute the state fold and check it against the
-/// embedded digest. nullopt on malformed bytes or a digest mismatch.
-std::optional<DecodedSnapshot> parse_snapshot(util::ByteView raw,
-                                              bool with_forged,
-                                              bool with_txn) {
-  DecodedSnapshot d;
+bool StateMachine::restore(util::ByteView raw) {
+  StateMachine d;
+  Records recs;
   std::uint64_t claimed = 0;
   try {
     util::Reader r(raw);
-    const std::uint32_t nkeys = r.u32();
-    for (std::uint32_t i = 0; i < nkeys; ++i) {
-      Bytes k = r.bytes();
-      Bytes v = r.bytes();
-      // Map order is the codec's canonical order: out-of-order or duplicate
-      // keys mean the bytes were not produced by snapshot().
-      if (!d.store.emplace(std::move(k), std::move(v)).second) {
-        return std::nullopt;
+    for (std::uint64_t* c : counters(d)) *c = r.u64();
+    const std::uint8_t partitioned = r.u8();
+    if (partitioned > 1) return false;
+    d.partitioned_ = partitioned != 0;
+    if (d.partitioned_) {
+      d.group_ = r.u32();
+      d.cfg_epoch_ = r.u64();
+      d.owned_ = r.bytes();
+      if (d.owned_.empty() || d.owned_.size() > kMaxTableBuckets) {
+        return false;
+      }
+      for (const std::uint8_t o : d.owned_) {
+        if (o > 1) return false;
       }
     }
-    const std::uint32_t nsessions = r.u32();
-    for (std::uint32_t i = 0; i < nsessions; ++i) {
-      const ClientId client = r.u64();
-      DecodedSession s;
-      s.last_seq = r.u64();
-      const std::uint8_t status = r.u8();
-      // Only committed outcomes are cacheable — see status_persistable.
-      if (!status_persistable(status)) return std::nullopt;
-      s.last_reply.status = static_cast<Status>(status);
-      s.last_reply.value = r.bytes();
-      if (!d.sessions.emplace(client, std::move(s)).second) {
-        return std::nullopt;
-      }
-    }
-    d.ops = r.u64();
-    d.dups = r.u64();
-    d.malformed = r.u64();
-    if (with_forged) d.forged = r.u64();
-    d.partitioned = r.u8() != 0;
-    if (d.partitioned) {
-      d.group = r.u32();
-      d.cfg_epoch = r.u64();
-      d.owned = r.bytes();
-      if (d.owned.empty() || d.owned.size() > kMaxTableBuckets) {
-        return std::nullopt;
-      }
-      for (const std::uint8_t o : d.owned) {
-        if (o > 1) return std::nullopt;
-      }
-      d.admin_applied = r.u64();
-      d.bounces = r.u64();
-      d.admin_rejected = r.u64();
-      d.keys_imported = r.u64();
-      d.keys_purged = r.u64();
-    }
-    if (with_txn) {
-      const std::uint32_t nlocks = r.u32();
-      for (std::uint32_t i = 0; i < nlocks; ++i) {
-        Bytes k = r.bytes();
-        StateMachine::Lock l;
-        l.txn = r.u64();
-        l.owner = r.u64();
-        l.write = r.u8();
-        if (l.write < 1 || l.write > 2) return std::nullopt;
-        l.value = r.bytes();
-        const std::uint8_t he = r.u8();
-        if (he > 1) return std::nullopt;
-        l.has_expected = he != 0;
-        l.expected = r.bytes();
-        // Canonical form: no guard ⇒ no guard bytes.
-        if (!l.has_expected && !l.expected.empty()) return std::nullopt;
-        if (!d.locks.emplace(std::move(k), std::move(l)).second) {
-          return std::nullopt;
-        }
-      }
-      d.txn_prepared = r.u64();
-      d.txn_committed = r.u64();
-      d.txn_aborted = r.u64();
-      d.txn_conflicts = r.u64();
-      d.txn_orphans = r.u64();
-      d.txn_rejected = r.u64();
-      const std::uint32_t nmarks = r.u32();
-      ClientId prev_mark_client = 0;
-      for (std::uint32_t i = 0; i < nmarks; ++i) {
-        const ClientId client = r.u64();
-        const std::uint64_t seq = r.u64();
-        const std::uint8_t status = r.u8();
-        if (i > 0 && client <= prev_mark_client) return std::nullopt;
-        prev_mark_client = client;
-        if (seq == 0 || !prepare_status_valid(status)) return std::nullopt;
-        // A mark extends an existing session record — a machine that set
-        // (or imported) one always has the session it belongs to.
-        const auto sit = d.sessions.find(client);
-        if (sit == d.sessions.end()) return std::nullopt;
-        sit->second.last_prepare_seq = seq;
-        sit->second.last_prepare_status = static_cast<Status>(status);
-      }
-    }
+    if (!decode_records(r, recs)) return false;
     claimed = r.u64();
     r.expect_end();
   } catch (const util::SerdeError&) {
-    return std::nullopt;
+    return false;
   }
-  // Recompute the fold over the decoded state and compare against the
-  // embedded digest — a corrupted or forged snapshot fails closed here.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const auto& [k, v] : d.store) {
-    h = fnv1a(h, k);
-    h = fnv1a(h, v);
-  }
-  for (const auto& [client, s] : d.sessions) {
-    h = fnv1a_u64(h, client);
-    h = fnv1a_u64(h, s.last_seq);
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(s.last_reply.status));
-    h = fnv1a(h, s.last_reply.value);
-  }
-  h = fnv1a_u64(h, d.ops);
-  if (d.partitioned) {
-    h = fnv1a_u64(h, d.group);
-    h = fnv1a_u64(h, d.cfg_epoch);
-    h = fnv1a_u64(h, d.owned.size());
-    h = fnv1a(h, d.owned);
-    h = fnv1a_u64(h, d.admin_applied);
-    h = fnv1a_u64(h, d.bounces);
-    h = fnv1a_u64(h, d.keys_imported);
-    h = fnv1a_u64(h, d.keys_purged);
-  }
-  if (with_txn) {
-    h = fnv1a_u64(h, d.locks.size());
-    for (const auto& [k, l] : d.locks) {
-      h = fnv1a(h, k);
-      h = fnv1a_u64(h, l.txn);
-      h = fnv1a_u64(h, l.owner);
-      h = fnv1a_u64(h, l.write);
-      h = fnv1a(h, l.value);
-      h = fnv1a_u64(h, l.has_expected ? 1 : 0);
-      h = fnv1a(h, l.expected);
-    }
-    h = fnv1a_u64(h, d.txn_prepared);
-    h = fnv1a_u64(h, d.txn_committed);
-    h = fnv1a_u64(h, d.txn_aborted);
-    h = fnv1a_u64(h, d.txn_conflicts);
-    h = fnv1a_u64(h, d.txn_orphans);
-    std::uint64_t nmarks = 0;
-    for (const auto& [client, s] : d.sessions) {
-      if (s.last_prepare_seq != 0) ++nmarks;
-    }
-    h = fnv1a_u64(h, nmarks);
-    for (const auto& [client, s] : d.sessions) {
-      if (s.last_prepare_seq == 0) continue;
-      h = fnv1a_u64(h, client);
-      h = fnv1a_u64(h, s.last_prepare_seq);
-      h = fnv1a_u64(h, static_cast<std::uint64_t>(s.last_prepare_status));
-    }
-  }
-  h = fnv1a_u64(h, d.dups);
-  h = fnv1a_u64(h, d.malformed);
-  if (with_forged) h = fnv1a_u64(h, d.forged);
-  if (d.partitioned) h = fnv1a_u64(h, d.admin_rejected);
-  if (with_txn) h = fnv1a_u64(h, d.txn_rejected);
-  if (h != claimed) return std::nullopt;
-  return d;
-}
-
-}  // namespace
-
-bool StateMachine::restore(util::ByteView raw) {
-  // The layout is self-describing: the forged field's and txn section's
-  // presence is resolved by the digest (which covers them when present),
-  // not by this machine's wiring — so a signed-mode or mid-transaction
-  // snapshot restores on a freshly-constructed machine, and a legacy
-  // snapshot restores on an armed one. Exactly one of the four layouts can
-  // validate for honest bytes; any corruption still fails closed in all
-  // attempts.
-  std::optional<DecodedSnapshot> d;
-  for (const bool with_forged : {true, false}) {
-    for (const bool with_txn : {true, false}) {
-      d = parse_snapshot(raw, with_forged, with_txn);
-      if (d.has_value()) break;
-    }
-    if (d.has_value()) break;
-  }
-  if (!d.has_value()) return false;
-  store_ = std::move(d->store);
-  sessions_.clear();
-  for (auto& [client, s] : d->sessions) {
-    Session& dst = sessions_[client];
+  d.store_.insert(recs.pairs.begin(), recs.pairs.end());
+  for (SessionRecord& s : recs.sessions) {
+    Session& dst = d.sessions_[s.client];
     dst.last_seq = s.last_seq;
-    dst.last_reply = std::move(s.last_reply);
-    dst.last_prepare_seq = s.last_prepare_seq;
-    dst.last_prepare_status = s.last_prepare_status;
+    dst.last_reply = std::move(s.reply);
   }
-  ops_applied_ = d->ops;
-  duplicates_ = d->dups;
-  malformed_ = d->malformed;
-  forged_ = d->forged;
-  partitioned_ = d->partitioned;
-  group_ = d->group;
-  cfg_epoch_ = d->cfg_epoch;
-  owned_.assign(d->owned.begin(), d->owned.end());
-  admin_applied_ = d->admin_applied;
-  bounces_ = d->bounces;
-  admin_rejected_ = d->admin_rejected;
-  keys_imported_ = d->keys_imported;
-  keys_purged_ = d->keys_purged;
-  locks_ = std::move(d->locks);
-  txn_prepared_ = d->txn_prepared;
-  txn_committed_ = d->txn_committed;
-  txn_aborted_ = d->txn_aborted;
-  txn_conflicts_ = d->txn_conflicts;
-  txn_orphans_ = d->txn_orphans;
-  txn_rejected_ = d->txn_rejected;
+  for (const PrepareMark& m : recs.prepare_marks) {
+    Session& dst = d.sessions_[m.client];  // exists: decode_records checked
+    dst.last_prepare_seq = m.seq;
+    dst.last_prepare_status = static_cast<Status>(m.status);
+  }
+  d.locks_.insert(recs.locks.begin(), recs.locks.end());
+  if (d.snapshot_digest() != claimed) return false;
+  // Wiring is not state: keep this machine's, adopt everything else.
+  d.sink_ = std::move(sink_);
+  d.keystore_ = keystore_;
+  d.signing_group_ = signing_group_;
+  d.admin_signers_ = std::move(admin_signers_);
+  *this = std::move(d);
   return true;
 }
 

@@ -99,9 +99,9 @@ class StateMachine : public smr::StateMachine {
   /// a command validly signed for another shard's log verifies as forged
   /// here (cross-log replay protection). Forged commands are deterministic
   /// no-ops counted in forged(), exactly like malformed ones. Without a
-  /// keystore (the default) the machine accepts legacy unsigned wires and
-  /// behaves byte-identically to the pre-signing build. The keystore and
-  /// group are wiring, not state — not snapshotted, surviving restore().
+  /// keystore (the default) the machine accepts unsigned wires and verifies
+  /// nothing. The keystore and group are wiring, not state — not
+  /// snapshotted, surviving restore().
   void set_keystore(const crypto::KeyStore* ks, std::uint32_t group = 0) {
     keystore_ = ks;
     signing_group_ = group;
@@ -125,20 +125,20 @@ class StateMachine : public smr::StateMachine {
 
   void apply(Slot slot, util::ByteView command) override;
 
-  /// Deterministic full-state codec for log compaction and peer catch-up:
-  /// store pairs + session records + op counters + partition state,
-  /// length-prefixed in map order, with the digest fold embedded as a
-  /// trailing digest. Equal states ⇒ identical bytes, so snapshots
-  /// themselves fingerprint.
+  /// Deterministic full-state codec for log compaction and peer catch-up,
+  /// in one layout: every counter; the partition section (a presence byte,
+  /// then group, epoch and bucket ownership when partitioned); the four
+  /// Records sections — store pairs, sessions, locks, prepare marks, the
+  /// codec RangeSnapshot shares (src/kv/range.hpp); and a trailing digest.
+  /// Equal states ⇒ identical bytes, so snapshots themselves fingerprint.
   Bytes snapshot() const override;
-  /// Total inverse: decodes into temporaries, recomputes the state fold and
-  /// checks it against the embedded digest, and only then swaps the decoded
-  /// state in (the reply sink is wiring, not state — it survives). Both the
-  /// legacy and the signed-mode (forged-field) layouts are accepted
-  /// regardless of this machine's own wiring — the digest disambiguates
-  /// them, so arming order does not matter. Malformed bytes or a digest
-  /// mismatch return false with *this untouched. Never throws — snapshots
-  /// arrive from unverified peers.
+  /// Total inverse: parses the bytes once into a scratch machine, checks
+  /// the digest with the same fold snapshot() wrote, and only then adopts
+  /// the replicated state. Wiring (reply sink, keystore, signing group,
+  /// admin signers) is not state and stays, so a snapshot restores the same
+  /// whether either machine is armed. Malformed or non-canonical bytes or a
+  /// digest mismatch return false with *this untouched. Never throws —
+  /// snapshots arrive from unverified peers.
   bool restore(util::ByteView raw) override;
 
   /// Drain service for the Migrator (smr::Log serves this over the catch-up
@@ -193,20 +193,7 @@ class StateMachine : public smr::StateMachine {
   /// Last applied request seq for a client (0 = no session).
   std::uint64_t last_seq(ClientId c) const;
 
-  /// One held transaction lock: the pending write buffered at prepare,
-  /// applied on commit, discarded on abort. The guard fields record the
-  /// prepare's full payload so a re-prepare by the same (txn, owner) is
-  /// idempotent only when byte-identical — an equivocating coordinator
-  /// re-preparing with different bytes is refused, never silently merged.
-  struct Lock {
-    std::uint64_t txn = 0;
-    ClientId owner = 0;      // coordinator session that prepared it
-    std::uint8_t write = 1;  // txn::WriteKind of the buffered mutation
-    Bytes value;             // pending kPut payload (empty for kDel)
-    bool has_expected = false;  // optimistic guard carried by the prepare
-    Bytes expected;             // guard value (empty when !has_expected)
-  };
-
+  /// Held transaction locks by key (see kv::Lock).
   const std::map<Bytes, Lock>& locks() const { return locks_; }
   /// Locks currently held — zero once every transaction has decided, which
   /// is the harness's residual-lock atomicity check.
@@ -239,10 +226,21 @@ class StateMachine : public smr::StateMachine {
   Reply apply_txn(const Command& c);
   /// True once any transaction state exists — counters, live locks, or a
   /// session prepare mark (marks can arrive alone via INSTALL). Gates the
-  /// txn hash fold and the snapshot txn section, keeping transaction-free
-  /// runs byte-identical to the pre-transaction build.
+  /// txn fold in store_hash(), so transaction-free agreement hashes do not
+  /// depend on the transaction subsystem.
   bool txn_active() const;
   std::uint64_t txn_fold(std::uint64_t h) const;
+  /// The record tables in canonical order. `take` (indexed by bucket)
+  /// filters pairs and locks to the marked buckets; empty takes everything.
+  /// Sessions and prepare marks always travel whole.
+  Records export_records(const std::vector<std::uint8_t>& take) const;
+  /// store_hash() folded with every counter: the snapshot's trailing
+  /// digest, written by snapshot() and checked by restore().
+  std::uint64_t snapshot_digest() const;
+  /// Pointers to every counter, in snapshot order (const or mutable by
+  /// Self): the one list snapshot(), restore() and snapshot_digest() walk.
+  template <class Self>
+  static auto counters(Self& m);
   /// Signature check for a decoded command (signing enabled only): true iff
   /// the wire carried a signature, the claimed client id maps to a signer
   /// without wrapping, the signer is the claimed client's identity (and an

@@ -2,21 +2,10 @@
 
 #include <utility>
 
+#include "src/util/fnv.hpp"
 #include "src/util/serde.hpp"
 
 namespace mnm::reconfig {
-
-namespace {
-
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<std::uint8_t>(v >> (i * 8));
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 void TableMachine::apply(Slot, util::ByteView command) {
   const std::optional<ConfigChange> c = decode_config_change(command);
@@ -36,9 +25,9 @@ void TableMachine::apply(Slot, util::ByteView command) {
 
 std::uint64_t TableMachine::state_hash() const {
   std::uint64_t h = kv::shard_table_hash(table_);
-  h = fnv1a_u64(h, applied_);
-  h = fnv1a_u64(h, rejected_);
-  h = fnv1a_u64(h, malformed_);
+  h = util::fnv1a_u64(h, applied_);
+  h = util::fnv1a_u64(h, rejected_);
+  h = util::fnv1a_u64(h, malformed_);
   return h;
 }
 
@@ -53,31 +42,27 @@ Bytes TableMachine::snapshot() const {
 }
 
 bool TableMachine::restore(util::ByteView raw) {
-  kv::ShardTable table;
-  std::uint64_t applied = 0, rejected = 0, malformed = 0, claimed = 0;
+  // Decode into a scratch machine and check the digest with the same fold
+  // snapshot() wrote; only then adopt its state (the sink is wiring).
+  TableMachine decoded(kv::ShardTable{});
+  std::uint64_t claimed = 0;
   try {
     util::Reader r(raw);
     const Bytes table_bytes = r.bytes();
-    const std::optional<kv::ShardTable> t = kv::decode_shard_table(table_bytes);
+    std::optional<kv::ShardTable> t = kv::decode_shard_table(table_bytes);
     if (!t.has_value()) return false;
-    table = *t;
-    applied = r.u64();
-    rejected = r.u64();
-    malformed = r.u64();
+    decoded.table_ = *std::move(t);
+    decoded.applied_ = r.u64();
+    decoded.rejected_ = r.u64();
+    decoded.malformed_ = r.u64();
     claimed = r.u64();
     r.expect_end();
   } catch (const util::SerdeError&) {
     return false;
   }
-  std::uint64_t h = kv::shard_table_hash(table);
-  h = fnv1a_u64(h, applied);
-  h = fnv1a_u64(h, rejected);
-  h = fnv1a_u64(h, malformed);
-  if (h != claimed) return false;
-  table_ = std::move(table);
-  applied_ = applied;
-  rejected_ = rejected;
-  malformed_ = malformed;
+  if (decoded.state_hash() != claimed) return false;
+  decoded.sink_ = std::move(sink_);
+  *this = std::move(decoded);
   // Deliberately no sink call: restore() runs on a rejoiner installing a
   // peer's snapshot — the cluster-level view already saw these epochs from
   // the replicas that applied them live.

@@ -19,6 +19,7 @@
 #include "src/sim/rng.hpp"
 #include "src/sim/task.hpp"
 #include "src/sim/time.hpp"
+#include "src/txn/record.hpp"
 
 namespace mnm::kv {
 namespace {
@@ -533,11 +534,11 @@ TEST(KvStateMachine, SnapshotForgedFieldIsSelfDescribing) {
   EXPECT_EQ(b.last_seq(2), 1u);
   EXPECT_EQ(b.store_hash(), a.store_hash());
 
-  // The layout is self-describing (the digest disambiguates the forged
-  // field), not inferred from wiring: signed-mode bytes restore into a
-  // machine that is not (yet) armed, forged count intact — arming order
-  // must never reject a valid snapshot — and the restored count keeps
-  // riding that machine's own snapshots to the next hop.
+  // The layout does not depend on wiring (the forged count is always
+  // written): signed-mode bytes restore into a machine that is not (yet)
+  // armed, forged count intact — arming order must never reject a valid
+  // snapshot — and the restored count keeps riding that machine's own
+  // snapshots to the next hop.
   StateMachine legacy;
   EXPECT_TRUE(legacy.restore(a.snapshot()));
   EXPECT_EQ(legacy.forged(), 1u);
@@ -547,21 +548,129 @@ TEST(KvStateMachine, SnapshotForgedFieldIsSelfDescribing) {
   ASSERT_TRUE(rearmed.restore(legacy.snapshot()));
   EXPECT_EQ(rearmed.forged(), 1u);
 
-  // A never-signed machine's snapshot stays byte-identical to the
-  // pre-signing codec; an armed machine still accepts those legacy bytes.
-  StateMachine c, d;
-  const Bytes put = encode_command(cmd(Op::kPut, 2, 1, "k", "v"));
-  c.apply(0, put);
-  d.set_keystore(&ks);
-  d.apply(0, signed_wire(client, cmd(Op::kPut, 2, 1, "k", "v")));
-  // Same logical state; the signed-mode snapshot differs only by the
-  // forged field.
-  EXPECT_EQ(c.snapshot().size() + 8, d.snapshot().size());
+  // And the other way: a never-signed machine's snapshot restores into an
+  // armed one.
+  StateMachine c;
+  c.apply(0, encode_command(cmd(Op::kPut, 2, 1, "k", "v")));
   StateMachine armed;
   armed.set_keystore(&ks);
   EXPECT_TRUE(armed.restore(c.snapshot()));
   EXPECT_EQ(armed.forged(), 0u);
   EXPECT_EQ(armed.store_hash(), c.store_hash());
+}
+
+TEST(KvStateMachine, SnapshotWithEverySectionRestoresExactlyAndFailsClosed) {
+  // One machine carrying every snapshot section at once: signed with a
+  // non-zero forged count, partitioned after an INSTALL and a SEAL (with a
+  // bounced op), holding transaction locks and prepare marks.
+  crypto::KeyStore ks(5);
+  const crypto::Signer client = ks.register_process(client_signer_id(2));
+  const crypto::Signer coord = ks.register_process(client_signer_id(3));
+  const crypto::Signer bounced = ks.register_process(client_signer_id(4));
+  const crypto::Signer admin = ks.register_process(client_signer_id(99));
+  const auto arm = [&](StateMachine& m) {
+    m.set_keystore(&ks);
+    m.allow_admin_signer(client_signer_id(99));
+  };
+  // Two groups over four buckets: group 0 owns {0, 1}, group 1 owns {2, 3}.
+  ShardTable table;
+  table.groups = 2;
+  table.buckets = {0, 0, 1, 1};
+  const auto key_in = [](std::uint32_t bucket, const std::string& prefix) {
+    for (int i = 0;; ++i) {
+      const std::string k = prefix + std::to_string(i);
+      if (ShardMap::key_hash(to_bytes(k)) % 4 == bucket) return k;
+    }
+  };
+  const std::string moved = key_in(2, "k"), moved_lock = key_in(2, "lock");
+  const std::string home = key_in(0, "k"), other = key_in(0, "other");
+  const std::string sealed = key_in(1, "k");
+  const auto prepare = [](std::uint64_t txn, bool guarded) {
+    txn::PrepareRecord rec;
+    rec.txn = txn;
+    rec.value = to_bytes("pending");
+    rec.has_expected = guarded;
+    return txn::encode_prepare(rec);
+  };
+  const auto admin_op = [&](Op op, std::uint64_t seq, Bytes payload) {
+    Command c;
+    c.op = op;
+    c.client = 99;
+    c.seq = seq;
+    c.value = std::move(payload);
+    return signed_wire(admin, c);
+  };
+  kv::RangeSpec spec{1, 4, {2}};
+
+  // Source group 1: a write and a guarded prepare in bucket 2, then the seal.
+  StateMachine src;
+  arm(src);
+  src.configure_partition(1, table);
+  src.apply(0, signed_wire(client, cmd(Op::kPut, 2, 1, moved.c_str(), "v")));
+  Command p1 = cmd(Op::kTxnPrepare, 3, 1, moved_lock.c_str());
+  p1.value = prepare(7, true);
+  src.apply(1, signed_wire(coord, p1));
+  src.apply(2, admin_op(Op::kSeal, 1, kv::encode_range_spec(spec)));
+  const Bytes drained = src.export_range(kv::encode_range_spec(spec));
+  ASSERT_FALSE(drained.empty());
+
+  // Destination group 0: INSTALL bucket 2, prepare locally, SEAL bucket 1.
+  StateMachine m;
+  arm(m);
+  m.configure_partition(0, table);
+  m.apply(0, admin_op(Op::kInstall, 1, drained));
+  Command p2 = cmd(Op::kTxnPrepare, 3, 2, home.c_str());
+  p2.value = prepare(8, false);
+  m.apply(1, signed_wire(coord, p2));
+  spec = {2, 4, {1}};
+  m.apply(2, admin_op(Op::kSeal, 2, kv::encode_range_spec(spec)));
+  m.apply(3, signed_wire(bounced, cmd(Op::kPut, 4, 1, sealed.c_str(), "x")));
+  const Command put = cmd(Op::kPut, 2, 2, other.c_str(), "w");
+  m.apply(4, signed_wire(client, put));
+  m.apply(5, signed_wire(client, put));  // duplicate
+  m.apply(6, encode_command(cmd(Op::kPut, 2, 3, home.c_str(), "forged")));
+  m.apply(7, to_bytes("not a command"));
+  ASSERT_GT(m.forged(), 0u);
+  ASSERT_GT(m.malformed(), 0u);
+  ASSERT_GT(m.duplicates_suppressed(), 0u);
+  ASSERT_GT(m.bounces(), 0u);
+  ASSERT_TRUE(m.partitioned());
+  ASSERT_EQ(m.admin_applied(), 2u);
+  ASSERT_EQ(m.admin_rejected(), 0u);
+  ASSERT_EQ(m.keys_imported(), 1u);
+  ASSERT_EQ(m.owned_buckets(), 2u);
+  ASSERT_EQ(m.locks_held(), 2u);
+  ASSERT_EQ(m.txn_prepared(), 1u);
+
+  // Restores into a fresh, unarmed machine: same bytes, same hash.
+  const Bytes wire = m.snapshot();
+  StateMachine fresh;
+  ASSERT_TRUE(fresh.restore(wire));
+  EXPECT_EQ(fresh.snapshot(), wire);
+  EXPECT_EQ(fresh.store_hash(), m.store_hash());
+  EXPECT_EQ(fresh.forged(), m.forged());
+  EXPECT_EQ(fresh.locks(), m.locks());
+  EXPECT_EQ(fresh.owned_buckets(), 2u);
+  EXPECT_EQ(fresh.config_epoch(), 2u);
+
+  // Every truncation and every single-byte change is rejected, and the
+  // target keeps its own state.
+  StateMachine target;
+  target.apply(0, encode_command(cmd(Op::kPut, 9, 1, "canary", "alive")));
+  const Bytes before = target.snapshot();
+  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+    EXPECT_FALSE(target.restore(util::ByteView(wire).first(cut)))
+        << "cut " << cut;
+  }
+  Bytes flipped = wire;
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    for (int x = 1; x < 256; ++x) {
+      flipped[i] = static_cast<std::uint8_t>(wire[i] ^ x);
+      EXPECT_FALSE(target.restore(flipped)) << "byte " << i << " ^ " << x;
+    }
+    flipped[i] = wire[i];
+  }
+  EXPECT_EQ(target.snapshot(), before);
 }
 
 // --- Router retry-deadline saturation (halted shard). ---

@@ -413,13 +413,13 @@ TEST(TxnStateMachine, LocksMigrateWithTheDrainedRange) {
   const auto snap = kv::decode_range_snapshot(drained);
   ASSERT_TRUE(snap.has_value());
   ASSERT_EQ(snap->locks.size(), 1u);
-  EXPECT_EQ(snap->locks[0].key, moving);
-  EXPECT_EQ(snap->locks[0].txn, 6u);
+  EXPECT_EQ(snap->locks[0].first, moving);
+  EXPECT_EQ(snap->locks[0].second.txn, 6u);
   // The guard travels with the lock, and the prepare mark travels with the
   // session table — a coordinator replaying this prepare at the new owner
   // must read its original outcome there.
-  EXPECT_EQ(snap->locks[0].has_expected, 1u);
-  EXPECT_EQ(snap->locks[0].expected, to_bytes("30"));
+  EXPECT_TRUE(snap->locks[0].second.has_expected);
+  EXPECT_EQ(snap->locks[0].second.expected, to_bytes("30"));
   ASSERT_EQ(snap->prepare_marks.size(), 1u);
   EXPECT_EQ(snap->prepare_marks[0].client, 2u);
   EXPECT_EQ(snap->prepare_marks[0].seq, 1u);

@@ -1177,19 +1177,21 @@ TEST(WireFuzz, RangeSnapshotWithLocksRoundTripsAndFailsClosed) {
     }
     const std::size_t locks = rng.below(3) + 1;
     for (std::size_t i = 0; i < locks; ++i) {
-      kv::LockRecord l;
-      l.key = to_bytes("lk" + std::to_string(i));  // sorted by construction
+      kv::Lock l;
       l.txn = rng.next();
       l.owner = rng.below(8) + 1;
       l.write = rng.chance(0.5) ? 1 : 2;
       l.value = random_bytes(rng, rng.below(16));
-      l.has_expected = rng.chance(0.5) ? 1 : 0;
-      if (l.has_expected != 0) l.expected = random_bytes(rng, rng.below(16));
-      snap.locks.push_back(std::move(l));
+      l.has_expected = rng.chance(0.5);
+      if (l.has_expected) l.expected = random_bytes(rng, rng.below(16));
+      // Keys sorted by construction.
+      snap.locks.emplace_back(to_bytes("lk" + std::to_string(i)), std::move(l));
     }
-    // Prepare marks ride as their own tail section, sometimes absent.
+    // Prepare marks have their own section, sometimes empty; each extends
+    // its client's session record.
     const std::size_t marks = rng.below(3);
     for (std::size_t i = 0; i < marks; ++i) {
+      snap.sessions.push_back({i + 1, rng.below(64) + 1, kv::Reply{}});
       kv::PrepareMark pm;
       pm.client = i + 1;  // ascending by construction
       pm.seq = rng.below(64) + 1;
@@ -1218,12 +1220,24 @@ TEST(WireFuzz, RangeSnapshotWithLocksRoundTripsAndFailsClosed) {
 }
 
 TEST(WireFuzz, RangeSnapshotTailSectionsRejectNonCanonicalForms) {
-  // Structural validators on the tagged tail fire before the digest check,
-  // so these malformed forms must reject even with a consistent digest.
+  // Structural validators on the lock and mark sections fire before the
+  // digest check, so these malformed forms must reject even with a
+  // consistent digest.
   kv::RangeSnapshot base;
   base.spec.epoch = 1;
   base.spec.table_buckets = 4;
   base.spec.buckets = {2};
+  // Sessions for the marks below to extend, so only the defect under test
+  // can reject.
+  base.sessions.push_back({1, 6, kv::Reply{}});
+  base.sessions.push_back({2, 6, kv::Reply{}});
+  {
+    // The well-formed control: one valid mark decodes.
+    kv::RangeSnapshot marked = base;
+    marked.prepare_marks.push_back({1, 3, 1});
+    EXPECT_TRUE(kv::decode_range_snapshot(kv::encode_range_snapshot(marked))
+                    .has_value());
+  }
 
   // Unordered prepare marks (the encoder writes whatever it is given; the
   // decoder enforces ascending clients).
@@ -1253,43 +1267,24 @@ TEST(WireFuzz, RangeSnapshotTailSectionsRejectNonCanonicalForms) {
   // Guard bytes without the guard flag are non-canonical.
   kv::RangeSnapshot stray_guard = base;
   {
-    kv::LockRecord l;
-    l.key = to_bytes("lk");
+    kv::Lock l;
     l.txn = 7;
     l.owner = 1;
     l.write = 1;
-    l.has_expected = 0;
+    l.has_expected = false;
     l.expected = to_bytes("stray");
-    stray_guard.locks.push_back(std::move(l));
+    stray_guard.locks.emplace_back(to_bytes("lk"), std::move(l));
   }
   EXPECT_FALSE(
       kv::decode_range_snapshot(kv::encode_range_snapshot(stray_guard))
           .has_value());
 
-  // Unknown or repeated tail tags reject regardless of the digest bytes:
-  // splice extra sections into an otherwise valid wire.
-  kv::RangeSnapshot marked = base;
-  marked.prepare_marks.push_back({1, 3, 1});
-  const Bytes wire = kv::encode_range_snapshot(marked);
-  const Bytes no_tail_wire = kv::encode_range_snapshot(base);
-  // Duplicate the marks section (tag 2 twice: not ascending).
-  {
-    const std::size_t tail = wire.size() - 8;          // digest offset
-    const std::size_t head = no_tail_wire.size() - 8;  // tail-free prefix
-    Bytes doubled(wire.begin(), wire.begin() + tail);
-    doubled.insert(doubled.end(), wire.begin() + head, wire.begin() + tail);
-    doubled.insert(doubled.end(), wire.begin() + tail, wire.end());
-    EXPECT_FALSE(kv::decode_range_snapshot(doubled).has_value());
-  }
-  // Unknown tag 3 with enough bytes behind it to look like a section.
-  {
-    Bytes junk_tag(no_tail_wire.begin(), no_tail_wire.end() - 8);
-    junk_tag.push_back(3);
-    for (int i = 0; i < 12; ++i) junk_tag.push_back(0);
-    junk_tag.insert(junk_tag.end(), no_tail_wire.end() - 8,
-                    no_tail_wire.end());
-    EXPECT_FALSE(kv::decode_range_snapshot(junk_tag).has_value());
-  }
+  // A mark with no session record to extend.
+  kv::RangeSnapshot orphan_mark = base;
+  orphan_mark.prepare_marks.push_back({3, 2, 1});
+  EXPECT_FALSE(
+      kv::decode_range_snapshot(kv::encode_range_snapshot(orphan_mark))
+          .has_value());
 }
 
 }  // namespace
