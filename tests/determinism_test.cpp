@@ -36,6 +36,9 @@ struct Fingerprint {
   std::optional<std::string> value;
   sim::Time first_delay = 0;
   std::uint64_t msgs = 0, reads = 0, writes = 0, perms = 0, sigs = 0, verifs = 0;
+  // Executor events: an added or dropped event (a stray timer, a waiter
+  // woken twice) shows here even when no decision time moves.
+  std::uint64_t events = 0;
   // SMR mode: applied logs (in `decisions`, joined) plus the multi-slot
   // metrics, so a reordered pipeline cannot hide behind equal counts.
   Slot slots = 0;
@@ -109,6 +112,7 @@ Fingerprint fingerprint(const RunReport& r) {
   f.perms = r.permission_changes;
   f.sigs = r.signatures;
   f.verifs = r.verifications;
+  f.events = r.events;
   f.slots = r.slots_applied;
   f.cmds = r.commands_applied;
   f.p50 = r.commit_p50;
@@ -222,6 +226,7 @@ std::string golden_line(const std::string& name, const Fingerprint& f) {
       .field("perms", f.perms)
       .field("sigs", f.sigs)
       .field("verifs", f.verifs)
+      .field("events", f.events)
       .field("slots", f.slots)
       .field("cmds", f.cmds)
       .field("p50", f.p50)
@@ -287,6 +292,15 @@ ClusterConfig smr(ClusterConfig c, std::size_t commands, std::size_t batch,
   c.smr.commands = commands;
   c.smr.batch = batch;
   c.smr.window = window;
+  return c;
+}
+
+ClusterConfig kv(ClusterConfig c, std::size_t shards, std::size_t clients,
+                 std::size_t ops_per_client) {
+  c.kv.enabled = true;
+  c.kv.shards = shards;
+  c.kv.clients = clients;
+  c.kv.ops_per_client = ops_per_client;
   return c;
 }
 
@@ -486,6 +500,52 @@ const std::vector<Case>& cases() {
                    c.kv.shards = 4;
                    c.kv.clients = 8;
                    c.kv.ops_per_client = 12;
+                   return c;
+                 }});
+    // One SMR and one KV run per remaining engine family, so every branch of
+    // the replicated-group builder (message engines, Disk Paxos, PMP at
+    // n = f_P + 1 = 2, Aligned Paxos) is pinned in both modes.
+    v.push_back({"SmrPaxos", [] {
+                   return smr(cluster(Algorithm::kPaxos, 3, 0, 42), 24, 2, 4);
+                 }});
+    v.push_back({"SmrDiskPaxos", [] {
+                   return smr(cluster(Algorithm::kDiskPaxos, 3, 3, 42), 12, 2,
+                              4);
+                 }});
+    v.push_back({"SmrProtectedMemoryPaxosTwoProcesses", [] {
+                   return smr(cluster(Algorithm::kProtectedMemoryPaxos, 2, 3, 42),
+                              12, 2, 4);
+                 }});
+    v.push_back({"SmrAlignedPaxos", [] {
+                   return smr(cluster(Algorithm::kAlignedPaxos, 3, 3, 42), 12, 2,
+                              4);
+                 }});
+    v.push_back({"SmrVerbsBackend", [] {
+                   ClusterConfig c = smr(
+                       cluster(Algorithm::kProtectedMemoryPaxos, 2, 3, 42), 12,
+                       2, 4);
+                   c.verbs_backend = true;
+                   return c;
+                 }});
+    v.push_back({"KvPaxos", [] {
+                   return kv(cluster(Algorithm::kPaxos, 3, 0, 42), 2, 4, 6);
+                 }});
+    v.push_back({"KvDiskPaxos", [] {
+                   return kv(cluster(Algorithm::kDiskPaxos, 3, 3, 42), 2, 4, 6);
+                 }});
+    v.push_back({"KvProtectedMemoryPaxosTwoProcesses", [] {
+                   return kv(cluster(Algorithm::kProtectedMemoryPaxos, 2, 3, 42),
+                             2, 4, 6);
+                 }});
+    v.push_back({"KvAlignedPaxos", [] {
+                   return kv(cluster(Algorithm::kAlignedPaxos, 3, 3, 42), 2, 4,
+                             6);
+                 }});
+    v.push_back({"KvMergePlan", [] {
+                   ClusterConfig c =
+                       kv(cluster(Algorithm::kFastPaxos, 3, 0, 23), 2, 6, 16);
+                   c.kv.reconfig.push_back(
+                       {40, reconfig::ChangeKind::kMerge, 1, 0});
                    return c;
                  }});
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -751,6 +811,27 @@ TEST(Determinism, PlainKvFingerprintUnchangedByTxnPlumbing) {
   EXPECT_EQ(a.kv_txn_balance, 0);
   EXPECT_EQ(a.kv_locks_held, 0u);
   expect_deterministic("PlainKvUnchangedByTxnPlumbing");
+}
+
+// --- Every engine family in both replicated modes. ---
+
+TEST(Determinism, EngineFamiliesInSmrAndKvSameSeedSameRun) {
+  for (const char* name :
+       {"SmrPaxos", "SmrDiskPaxos", "SmrProtectedMemoryPaxosTwoProcesses",
+        "SmrAlignedPaxos", "SmrVerbsBackend", "KvPaxos", "KvDiskPaxos",
+        "KvProtectedMemoryPaxosTwoProcesses", "KvAlignedPaxos"}) {
+    SCOPED_TRACE(name);
+    expect_deterministic(name);
+  }
+}
+
+TEST(Determinism, KvMergePlanSameSeedSameRun) {
+  // A merge drains every bucket of group 1 into group 0 mid-workload; the
+  // seal/drain/install interleaving must replay like the split's does.
+  const RunReport a = run_cluster(config("KvMergePlan"));
+  EXPECT_EQ(a.reconfig_epoch, 1u) << a.summary();
+  EXPECT_GT(a.reconfig_keys_moved, 0u) << a.summary();
+  expect_deterministic("KvMergePlan");
 }
 
 /// Different seeds may legitimately differ, but every seed must be
