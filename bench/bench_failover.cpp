@@ -149,9 +149,9 @@ int main() {
     c.m = 0;
     c.smr.enabled = true;
     c.smr.commands = 24;
-    c.smr.batch = 2;
-    c.smr.window = 4;
-    c.smr.snapshot_interval = 4;
+    c.log.batch = 2;
+    c.log.window = 4;
+    c.log.snapshot_interval = 4;
     c.faults.process_crashes[1] = 6;
     c.faults.process_rejoins[1] = rejoin_at;
     const RunReport r = run_cluster(c);
@@ -167,9 +167,9 @@ int main() {
     c.m = 0;
     c.smr.enabled = true;
     c.smr.commands = 24;
-    c.smr.batch = 2;
-    c.smr.window = 4;
-    c.smr.snapshot_interval = 4;
+    c.log.batch = 2;
+    c.log.window = 4;
+    c.log.snapshot_interval = 4;
     c.faults.process_crashes[1] = 6;
     c.faults.process_rejoins[1] = 300;
     c.faults.process_crashes[2] = 40;

@@ -48,13 +48,13 @@ ClusterConfig kv_config(Algorithm algo, std::size_t n, std::size_t m,
   // Bounded per-group pipeline: one group absorbs at most window × batch
   // in-flight commands, so the client fleet saturates a single shard and
   // sharding shows up as aggregate throughput.
-  c.kv.window = 4;
-  c.kv.batch = 4;
+  c.log.window = 4;
+  c.log.batch = 4;
   // Auto rows keep the same 4x4 starting point but let the per-shard
   // Tuner walk window/batch inside [1,16]x[1,8] from observed latency.
-  c.kv.auto_tune = auto_tune;
-  c.kv.max_window = 16;
-  c.kv.max_batch = 8;
+  c.log.auto_tune = auto_tune;
+  c.log.max_window = 16;
+  c.log.max_batch = 8;
   // Signed rows: every client op carries an HMAC signature and every
   // replica verifies before apply — the _signed guard rows pin that cost
   // (expected small: one MAC sign per op, one verify per replica apply).

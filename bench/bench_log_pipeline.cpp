@@ -37,8 +37,8 @@ ClusterConfig smr_config(Algorithm algo, std::size_t n, std::size_t m,
   c.m = m;
   c.smr.enabled = true;
   c.smr.commands = commands;
-  c.smr.batch = batch;
-  c.smr.window = window;
+  c.log.batch = batch;
+  c.log.window = window;
   return c;
 }
 
@@ -114,9 +114,9 @@ void auto_tune_table() {
     row(name, r);
   }
   ClusterConfig c = smr_config(Algorithm::kFastPaxos, 3, 0, 4096, 4, 4);
-  c.smr.auto_tune = true;
-  c.smr.max_window = 16;
-  c.smr.max_batch = 8;
+  c.log.auto_tune = true;
+  c.log.max_window = 16;
+  c.log.max_batch = 8;
   const RunReport r = run_cluster(c);
   row("auto (from 4x4)", r);
   if (!r.tuner_trajectory.empty()) {
@@ -171,9 +171,9 @@ void bm_pipeline(benchmark::State& state, Algorithm algo, std::size_t n,
     c.seed = seed++;
     if (cq_timeout > 0) c.cq_timeout = cq_timeout;
     if (auto_tune) {
-      c.smr.auto_tune = true;
-      c.smr.max_window = 16;
-      c.smr.max_batch = 8;
+      c.log.auto_tune = true;
+      c.log.max_window = 16;
+      c.log.max_batch = 8;
     }
     const RunReport r = run_cluster(c);
     if (!r.agreement) {

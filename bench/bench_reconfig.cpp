@@ -50,8 +50,8 @@ ClusterConfig plan_config(const Plan& plan) {
   c.kv.mix = kv::Mix::kA;
   c.kv.dist = kv::KeyDist::kZipfian;
   c.kv.keys = 256;
-  c.kv.window = 4;
-  c.kv.batch = 4;
+  c.log.window = 4;
+  c.log.batch = 4;
   c.kv.reconfig = plan.actions;
   if (plan.crash != 0) {
     c.kv.retry_timeout = 24;

@@ -4,7 +4,7 @@
 // Three measurements:
 //  * cadence sweep: snapshots taken/installed, slots truncated, catch-up
 //    bytes and the rejoiner's convergence delay as functions of
-//    smr.snapshot_interval under a fixed crash/rejoin schedule. The rejoin
+//    log.snapshot_interval under a fixed crash/rejoin schedule. The rejoin
 //    lands mid-run, so the rejoiner chases a moving tip: a dense cadence
 //    means nearly every chase round falls behind a fresh boundary and
 //    re-fetches a whole snapshot, while a sparse cadence chases with cheap
@@ -43,9 +43,9 @@ ClusterConfig smr_rejoin_config(std::size_t interval, sim::Time crash_at,
   // returns — a mid-run rejoin exercises live catch-up (snapshot install +
   // suffix replay while survivors keep deciding), not a post-drain replay.
   c.smr.commands = 512;
-  c.smr.batch = 2;
-  c.smr.window = 4;
-  c.smr.snapshot_interval = interval;
+  c.log.batch = 2;
+  c.log.window = 4;
+  c.log.snapshot_interval = interval;
   // Crash-and-rejoin a FOLLOWER: the leader keeps committing throughout, so
   // the rejoiner catches up against a moving target and the run's
   // throughput stays comparable to the no-fault row. (A rejoining lowest-id
@@ -188,10 +188,10 @@ void bm_kv_recovery(benchmark::State& state, std::size_t interval) {
     c.kv.shards = 2;
     c.kv.clients = 6;
     c.kv.ops_per_client = 8;
-    c.kv.batch = 1;
-    c.kv.window = 2;
+    c.log.batch = 1;
+    c.log.window = 2;
     c.kv.retry_timeout = 24;
-    c.kv.snapshot_interval = interval;
+    c.log.snapshot_interval = interval;
     c.faults.process_crashes[1] = 7;
     c.faults.process_rejoins[1] = 600;
     const RunReport r = run_cluster(c);

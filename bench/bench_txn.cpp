@@ -54,8 +54,8 @@ ClusterConfig txn_config(std::size_t shards, std::size_t clients,
   c.kv.keys = 256;
   // Same bounded pipeline as bench_kv: one group absorbs window × batch
   // in-flight commands, so prepare/decision records queue like any write.
-  c.kv.window = 4;
-  c.kv.batch = 4;
+  c.log.window = 4;
+  c.log.batch = 4;
   c.kv.txn_fraction = fraction;
   c.kv.txn_accounts = txn_accounts;
   c.kv.accounts = accounts;

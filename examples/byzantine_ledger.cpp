@@ -59,8 +59,8 @@ ClusterConfig base() {
   c.m = 3;   // 2fM+1 fail-prone memories
   c.smr.enabled = true;        // multi-slot: one slot per transfer round
   c.smr.commands = kRounds;    // each bank proposes one order per round
-  c.smr.batch = 1;
-  c.smr.window = 2;            // two rounds pipelined
+  c.log.batch = 1;
+  c.log.window = 2;            // two rounds pipelined
   return c;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <charconv>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 
@@ -168,6 +169,78 @@ struct RecordingSm : smr::StateMachine {
   }
 };
 
+/// The direct-transport message tag of each algorithm: what its processes
+/// listen on when the run gives them the network to themselves (single-shot
+/// and SMR modes; KV mode multiplexes every group over one base tag).
+net::MsgType net_tag(Algorithm a) {
+  switch (a) {
+    case Algorithm::kDiskPaxos: return 910;
+    case Algorithm::kProtectedMemoryPaxos: return 900;
+    case Algorithm::kAlignedPaxos: return 920;
+    default: return 100;
+  }
+}
+
+/// Fast & Robust's knobs — also Robust Backup's, which is its backup path.
+/// Rounds run over non-equivocating broadcast (≥6 delays per hop, plus scan
+/// latency growing with n), so proposers get generous patience before they
+/// abort a round that is still in flight.
+core::FastRobustConfig fast_robust_config(const ClusterConfig& cfg) {
+  const std::size_t n = cfg.n;
+  core::FastRobustConfig fc;
+  fc.n = n;
+  fc.f = n > 0 ? (n - 1) / 2 : 0;  // tolerance n >= 2f+1
+  fc.cheap.n = n;
+  fc.cheap.timeout = cfg.cq_timeout;
+  fc.neb.n = n;
+  fc.paxos.n = n;
+  fc.paxos.round_timeout = 150 * n;
+  fc.paxos.retry_backoff = 40;
+  return fc;
+}
+
+/// Process p's message transport for one replicated group's engine.
+using TransportFor = std::function<core::Transport&(ProcessId)>;
+/// A group's region namespace: a protocol's base prefix ("dp", "pmp", "cq",
+/// "neb") → this group's prefix for it.
+using Namespace = std::function<std::string(const char*)>;
+using EngineFactory =
+    std::function<std::unique_ptr<core::ConsensusEngine>(ProcessId)>;
+using MachineFactory = std::function<std::unique_ptr<smr::StateMachine>()>;
+
+/// One process's incarnation in a replicated group. Torn down replica →
+/// machine → engine (reverse declaration order): each references the ones
+/// declared before it.
+struct Member {
+  std::unique_ptr<core::ConsensusEngine> engine;
+  std::unique_ptr<smr::StateMachine> machine;
+  std::unique_ptr<smr::Replica> replica;  // null on Byzantine processes
+};
+
+/// One replicated consensus group: SMR mode's log, a KV data shard, or the
+/// reconfiguration config group. The factories build a process's engine
+/// and machine at start-up and again when it rejoins; `rebind` re-points
+/// the group's router (KV shards) or migrator (config group) at a process's
+/// current incarnation, a null replica detaching it.
+struct Group {
+  /// "" (SMR), "g<i>" (KV shard) or "cfg": prefixes tuner trajectories and
+  /// KV per-process decision strings.
+  std::string label;
+  smr::ReplicaConfig rc;
+  EngineFactory make_engine;
+  MachineFactory make_machine;
+  std::function<void(ProcessId, smr::Replica*, smr::StateMachine*)> rebind;
+  std::vector<Member> members;  // index p - 1
+
+  smr::Replica* replica(ProcessId p) const {
+    return members[p - 1].replica.get();
+  }
+  template <class M>
+  M& machine(ProcessId p) const {
+    return static_cast<M&>(*members[p - 1].machine);
+  }
+};
+
 /// Everything one run owns. The executor is declared first (constructed
 /// first, destroyed last); all cross-object references during teardown go
 /// through shared nodes, so this order is safe.
@@ -238,9 +311,8 @@ struct World {
     // Byzantine processes are never trusted — the standard assumption that
     // Ω eventually outputs a correct process).
     // poke_complete: this oracle's output changes only at process-crash and
-    // rejoin times, and the crash callbacks below (plus the rejoin rebuild
-    // hooks in run_smr/run_kv) poke — so leadership waits need no fallback
-    // timers at all.
+    // rejoin times, and the crash callbacks below (plus rejoin_process)
+    // poke — so leadership waits need no fallback timers at all.
     omega = std::make_unique<Omega>(
         exec,
         [this](sim::Time t) -> ProcessId {
@@ -283,12 +355,9 @@ struct World {
     for (ProcessId p : all_processes(cfg.n)) {
       auto& row = reports[p - 1];
       row.id = p;
-      row.byzantine = cfg.faults.is_byzantine(p);
-      const auto it = cfg.faults.process_crashes.find(p);
-      if (it != cfg.faults.process_crashes.end()) row.crashed_at = it->second;
-      if (rejoin_at_[p - 1] != sim::kTimeInfinity) {
-        row.rejoined_at = rejoin_at_[p - 1];
-      }
+      row.byzantine = byzantine_[p - 1] != 0;
+      row.crashed_at = crash_at_[p - 1];
+      row.rejoined_at = rejoin_at_[p - 1];
     }
   }
 
@@ -337,7 +406,7 @@ struct World {
   std::vector<sim::Time> rejoin_at_;      // index p - 1; infinity = never
 
   // Algorithm objects (only the relevant vectors are populated).
-  std::vector<std::unique_ptr<core::NetTransport>> transports;
+  std::vector<std::unique_ptr<core::NetTransport>> transports;  // index p - 1
   std::vector<std::unique_ptr<core::TransportMux>> muxes;  // KV: 1 per process
   std::vector<std::unique_ptr<core::Paxos>> paxoses;
   std::vector<std::unique_ptr<core::DiskPaxos>> disk_paxoses;
@@ -347,32 +416,19 @@ struct World {
   std::vector<std::unique_ptr<core::RobustBackup>> robust_backups;
   std::vector<std::unique_ptr<core::FastRobustProcess>> fast_robusts;
 
-  // SMR mode (index p - 1; Byzantine processes hold no replica).
-  std::vector<std::unique_ptr<core::ConsensusEngine>> engines;
-  std::vector<std::unique_ptr<RecordingSm>> state_machines;
-  std::vector<std::unique_ptr<smr::Replica>> smr_replicas;
-  std::shared_ptr<core::SlotRegions<core::FastRobustSlotRegions>> fr_regions;
-
-  // KV mode (outer index = shard, inner index = p - 1; Byzantine processes
-  // hold no replica). Declared after the transports/muxes they reference so
-  // teardown runs replicas → engines → muxes → transports.
-  std::vector<std::vector<std::unique_ptr<core::ConsensusEngine>>> kv_engines;
-  std::vector<std::vector<std::unique_ptr<kv::StateMachine>>> kv_machines;
-  std::vector<std::vector<std::unique_ptr<smr::Replica>>> kv_replicas;
+  // SMR / KV modes: every replicated group — SMR's one log, or the KV data
+  // shards followed by the config group under reconfiguration. Declared
+  // after the transports/muxes their engines reference, so teardown runs
+  // groups → muxes → transports.
+  std::vector<Group> groups;
   std::unique_ptr<kv::Router> kv_router;
   std::unique_ptr<kv::Workload> kv_workload;
 
-  // Reconfiguration (kv.reconfig non-empty): the config group's objects
-  // (index p - 1; Byzantine processes hold no replica), the cluster-level
-  // table view and the migration driver. Destroyed migrator → view →
-  // replicas → machines → engines by reverse declaration order.
-  bool reconfig = false;
+  // Reconfiguration (kv.reconfig non-empty): the initial table the config
+  // group and partitioned machines start from, the cluster-level table view
+  // and the migration driver.
   bool reconfig_plan_done = false;
   kv::ShardTable initial_table;
-  smr::ReplicaConfig cfg_rc;
-  std::vector<std::unique_ptr<core::ConsensusEngine>> cfg_engines;
-  std::vector<std::unique_ptr<reconfig::TableMachine>> cfg_machines;
-  std::vector<std::unique_ptr<smr::Replica>> cfg_replicas;
   std::unique_ptr<reconfig::TableView> table_view;
   std::unique_ptr<reconfig::Migrator> migrator;
   std::vector<sim::Time> reconfig_flips;  // accepted-epoch arrival times
@@ -381,15 +437,11 @@ struct World {
   // here when the process rebuilds, because coroutine frames owned by the
   // executor still reference them — they must outlive the run (the executor
   // destroys parked frames at teardown without resuming them). Destroyed in
-  // reverse declaration order: replicas → machines → engines → muxes →
-  // transports, mirroring the live vectors.
+  // reverse declaration order: members (each replica → machine → engine) →
+  // muxes → transports, mirroring the live objects.
   std::vector<std::unique_ptr<core::NetTransport>> retired_transports;
   std::vector<std::unique_ptr<core::TransportMux>> retired_muxes;
-  std::vector<std::unique_ptr<core::ConsensusEngine>> retired_engines;
-  std::vector<std::unique_ptr<RecordingSm>> retired_recording_sms;
-  std::vector<std::unique_ptr<kv::StateMachine>> retired_kv_machines;
-  std::vector<std::unique_ptr<reconfig::TableMachine>> retired_table_machines;
-  std::vector<std::unique_ptr<smr::Replica>> retired_replicas;
+  std::vector<Member> retired_members;
 
   // Region ids + name prefixes used by Byzantine strategies (SMR mode
   // points them at slot 0's regions, KV mode at shard 0 / slot 0's).
@@ -550,17 +602,15 @@ void spawn_byzantine(World& w, const ClusterConfig& config) {
 }
 
 // ---------------------------------------------------------------------------
-// SMR mode: one smr::Replica per correct process over the algorithm's
-// ConsensusEngine adapter.
+// Report helpers and up-front checks shared by every run mode.
 // ---------------------------------------------------------------------------
 
 /// End-of-run resource counters shared by every run mode (single-shot, SMR,
 /// KV) — one definition, so a counter added to RunReport cannot silently
 /// stay zero in one mode.
-void fill_resource_counters(RunReport& report, World& w,
-                            const ClusterConfig& config) {
+void fill_resource_counters(RunReport& report, World& w) {
   report.messages_sent = w.network.messages_sent();
-  if (!config.verbs_backend) {
+  if (!w.cfg.verbs_backend) {
     for (const auto& m : w.mem_backing) {
       report.mem_reads += m->reads();
       report.mem_read_batches += m->read_batches();
@@ -600,529 +650,84 @@ void add_recovery_counters(RunReport& report, const smr::RunStats& s) {
   report.catchup_bytes += s.catchup_bytes;
 }
 
-/// Crash-and-rejoin is limited to the message-based engines: memory-routed
-/// algorithms park reader coroutines inside crashed ProcessViews and have no
-/// catch-up channel, while Paxos engines rebuild cleanly over a fresh
-/// NetTransport. And without a snapshot cadence peers have nothing to serve
-/// a rejoiner, so the run would never converge — reject up front.
-void check_rejoin_support(const ClusterConfig& config, Slot snapshot_interval,
-                          const char* knob) {
+/// Crash-and-rejoin needs a log to catch up on (SMR or KV mode) and is
+/// limited to the message-based engines: memory-routed algorithms park
+/// reader coroutines inside crashed ProcessViews and have no catch-up
+/// channel, while Paxos engines rebuild cleanly over a fresh NetTransport.
+/// And without a snapshot cadence peers have nothing to serve a rejoiner,
+/// so the run would never converge — reject up front.
+void check_rejoin_support(const ClusterConfig& config) {
   if (config.faults.process_rejoins.empty()) return;
+  if (!config.smr.enabled && !config.kv.enabled) {
+    throw std::invalid_argument(
+        "crash-and-rejoin requires SMR or KV mode (single-shot consensus has "
+        "no log to catch up on)");
+  }
   if (config.algo != Algorithm::kPaxos &&
       config.algo != Algorithm::kFastPaxos) {
     throw std::invalid_argument(
         "crash-and-rejoin needs a message-based engine (Paxos / Fast Paxos)");
   }
-  if (snapshot_interval == 0) {
-    throw std::invalid_argument(std::string("crash-and-rejoin needs ") + knob +
-                                " > 0 (peers must have a snapshot to serve)");
+  if (config.log.snapshot_interval == 0) {
+    throw std::invalid_argument(
+        "crash-and-rejoin needs log.snapshot_interval > 0 (peers must have a "
+        "snapshot to serve)");
   }
 }
 
-/// Rebuild process `p` as a fresh SMR incarnation: quarantine the crashed
-/// objects (live coroutine frames still reference them), free the network
-/// inbox, and start a recovering replica over a brand-new transport/engine.
-/// Volatile state is wiped by construction — everything the new incarnation
-/// knows arrives through snapshot + log catch-up from its peers.
-void rejoin_smr_process(World& w, const smr::ReplicaConfig& rc, ProcessId p) {
-  if (w.smr_replicas[p - 1] != nullptr) w.smr_replicas[p - 1]->log().halt();
-  w.transports[p - 1]->sever();
-  w.retired_replicas.push_back(std::move(w.smr_replicas[p - 1]));
-  w.retired_recording_sms.push_back(std::move(w.state_machines[p - 1]));
-  w.retired_engines.push_back(std::move(w.engines[p - 1]));
-  w.retired_transports.push_back(std::move(w.transports[p - 1]));
+// ---------------------------------------------------------------------------
+// Replicated modes: one or more consensus groups, each an smr::Replica per
+// correct process over the algorithm's ConsensusEngine adapter. SMR mode is
+// a single group over direct transports and un-prefixed regions; KV mode
+// runs one group per data shard (plus the config group under
+// reconfiguration) over TransportMux subs and "g<i>/" / "cfg/" regions.
+// ---------------------------------------------------------------------------
 
-  *w.alive[p - 1] = true;
-  w.network.revive(p);
-  core::PaxosConfig pc;
-  pc.n = w.cfg.n;
-  pc.skip_phase1_for_p1 = (w.cfg.algo == Algorithm::kFastPaxos);
-  w.transports[p - 1] = std::make_unique<core::NetTransport>(
-      w.exec, w.network, p, /*tag=*/100);
-  w.engines[p - 1] = std::make_unique<core::PaxosEngine>(
-      w.exec, *w.transports[p - 1], *w.omega, pc);
-  w.state_machines[p - 1] = std::make_unique<RecordingSm>();
-  smr::ReplicaConfig rejoin_rc = rc;
-  rejoin_rc.log.recover = true;
-  w.smr_replicas[p - 1] = std::make_unique<smr::Replica>(
-      w.exec, *w.engines[p - 1], *w.omega, *w.state_machines[p - 1],
-      rejoin_rc);
-  w.engines[p - 1]->start();
-  w.smr_replicas[p - 1]->start();
-  // Leadership may now revert to this (lower-id) process; wake the waiters.
-  w.omega->poke();
-}
-
-reconfig::TableMachine::TableSink table_sink_for(World& w);
-
-/// KV-mode twin of rejoin_smr_process: one fresh engine + machine + replica
-/// per shard (plus the config group, under reconfiguration) over a rebuilt
-/// base transport/mux, rebound into the router so client replies flow from
-/// the new incarnation.
-void rejoin_kv_process(World& w, const smr::ReplicaConfig& rc, ProcessId p) {
-  const std::size_t shards = w.kv_engines.size();
-  for (std::size_t g = 0; g < shards; ++g) {
-    if (w.kv_replicas[g][p - 1] != nullptr) {
-      w.kv_replicas[g][p - 1]->log().halt();
-    }
-    w.kv_router->rebind(g, p, nullptr, nullptr);
-  }
-  if (w.reconfig) {
-    if (w.cfg_replicas[p - 1] != nullptr) w.cfg_replicas[p - 1]->log().halt();
-    w.migrator->rebind_config(p, nullptr);
-  }
-  w.transports[p - 1]->sever();
-  for (std::size_t g = 0; g < shards; ++g) {
-    w.retired_replicas.push_back(std::move(w.kv_replicas[g][p - 1]));
-    w.retired_kv_machines.push_back(std::move(w.kv_machines[g][p - 1]));
-    w.retired_engines.push_back(std::move(w.kv_engines[g][p - 1]));
-  }
-  if (w.reconfig) {
-    w.retired_replicas.push_back(std::move(w.cfg_replicas[p - 1]));
-    w.retired_table_machines.push_back(std::move(w.cfg_machines[p - 1]));
-    w.retired_engines.push_back(std::move(w.cfg_engines[p - 1]));
-  }
-  w.retired_muxes.push_back(std::move(w.muxes[p - 1]));
-  w.retired_transports.push_back(std::move(w.transports[p - 1]));
-
-  *w.alive[p - 1] = true;
-  w.network.revive(p);
-  w.transports[p - 1] = std::make_unique<core::NetTransport>(
-      w.exec, w.network, p, /*tag=*/100);
-  w.muxes[p - 1] = std::make_unique<core::TransportMux>(
-      w.exec, *w.transports[p - 1]);
-  core::PaxosConfig pc;
-  pc.n = w.cfg.n;
-  pc.skip_phase1_for_p1 = (w.cfg.algo == Algorithm::kFastPaxos);
-  smr::ReplicaConfig rejoin_rc = rc;
-  rejoin_rc.log.recover = true;
-  for (std::size_t g = 0; g < shards; ++g) {
-    const std::uint8_t tag = static_cast<std::uint8_t>(g);
-    w.kv_engines[g][p - 1] = std::make_unique<core::PaxosEngine>(
-        w.exec, w.muxes[p - 1]->sub(tag), *w.omega, pc);
-    w.kv_machines[g][p - 1] = std::make_unique<kv::StateMachine>();
-    if (w.reconfig) {
-      // The fresh machine starts partitioned at the *initial* table: a
-      // peer's snapshot (or the replayed admin ops, when no snapshot was
-      // cut yet) carries it to the current epoch's ownership.
-      w.kv_machines[g][p - 1]->configure_partition(
-          static_cast<std::uint32_t>(g), w.initial_table);
-    }
-    w.kv_replicas[g][p - 1] = std::make_unique<smr::Replica>(
-        w.exec, *w.kv_engines[g][p - 1], *w.omega, *w.kv_machines[g][p - 1],
-        rejoin_rc);
-  }
-  if (w.reconfig) {
-    const std::uint8_t cfg_tag = static_cast<std::uint8_t>(shards);
-    w.cfg_engines[p - 1] = std::make_unique<core::PaxosEngine>(
-        w.exec, w.muxes[p - 1]->sub(cfg_tag), *w.omega, pc);
-    w.cfg_machines[p - 1] =
-        std::make_unique<reconfig::TableMachine>(w.initial_table);
-    // The sink re-attaches: replayed old epochs are dropped by the view,
-    // so a rejoiner into a post-split world installs the table without
-    // re-announcing flips.
-    w.cfg_machines[p - 1]->set_table_sink(table_sink_for(w));
-    smr::ReplicaConfig cfg_rejoin_rc = w.cfg_rc;
-    cfg_rejoin_rc.log.recover = true;
-    w.cfg_replicas[p - 1] = std::make_unique<smr::Replica>(
-        w.exec, *w.cfg_engines[p - 1], *w.omega, *w.cfg_machines[p - 1],
-        cfg_rejoin_rc);
-  }
-  w.muxes[p - 1]->start();
-  for (std::size_t g = 0; g < shards; ++g) {
-    w.kv_engines[g][p - 1]->start();
-    w.kv_replicas[g][p - 1]->start();
-    w.kv_router->rebind(g, p, w.kv_replicas[g][p - 1].get(),
-                        w.kv_machines[g][p - 1].get());
-  }
-  if (w.reconfig) {
-    w.cfg_engines[p - 1]->start();
-    w.cfg_replicas[p - 1]->start();
-    w.migrator->rebind_config(p, w.cfg_replicas[p - 1].get());
-  }
-  w.omega->poke();
-}
-
-RunReport run_smr(World& w, const ClusterConfig& config) {
-  const std::size_t n = config.n;
-  const auto all = all_processes(n);
-  const std::size_t fP = n > 0 ? (n - 1) / 2 : 0;
-
-  // ---- Build one engine per process over one shared transport/memory set. ----
-  switch (config.algo) {
+/// The one engine-construction switch for every replicated group: returns
+/// the factory for process p's engine, whose message traffic runs over
+/// `transport(p)` and whose memory traffic uses a SlotRegions pool named
+/// under `ns`. SMR's group, KV's data shards and the config group differ
+/// only in those two arguments. `byz_target` points the Byzantine region
+/// attacks at this group's slot 0.
+EngineFactory engine_factory(World& w, TransportFor transport,
+                             const Namespace& ns, bool byz_target) {
+  const std::size_t n = w.cfg.n;
+  switch (w.cfg.algo) {
     case Algorithm::kPaxos:
     case Algorithm::kFastPaxos: {
       core::PaxosConfig pc;
       pc.n = n;
-      pc.skip_phase1_for_p1 = (config.algo == Algorithm::kFastPaxos);
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/100));
-        w.engines.push_back(std::make_unique<core::PaxosEngine>(
-            w.exec, *w.transports.back(), *w.omega, pc));
-      }
-      break;
+      pc.skip_phase1_for_p1 = (w.cfg.algo == Algorithm::kFastPaxos);
+      return [&w, transport, pc](ProcessId p) {
+        core::Transport& t = transport(p);
+        return std::make_unique<core::PaxosEngine>(w.exec, t, *w.omega, pc);
+      };
     }
 
     case Algorithm::kDiskPaxos: {
+      const std::string prefix = ns("dp");
       auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n](Slot s) {
+          [wp = &w, n, prefix](Slot s) {
             RegionId region = 0;
             wp->for_each_backing([&](auto& m) {
-              region = core::make_disk_region(m, n, core::slot_ns(s, "dp"));
+              region = core::make_disk_region(m, n, core::slot_ns(s, prefix));
             });
             return region;
           });
       core::DiskPaxosConfig dc;
       dc.n = n;
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/910));
-        w.engines.push_back(std::make_unique<core::DiskPaxosEngine>(
-            w.exec, w.view_ptrs[p - 1], *w.transports.back(), *w.omega, pool,
-            dc));
-      }
-      break;
+      return [&w, transport, pool, dc, prefix](ProcessId p) {
+        core::Transport& t = transport(p);
+        return std::make_unique<core::DiskPaxosEngine>(
+            w.exec, w.view_ptrs[p - 1], t, *w.omega, pool, dc, prefix);
+      };
     }
 
     case Algorithm::kProtectedMemoryPaxos:
     case Algorithm::kAlignedPaxos: {
+      const std::string prefix = ns("pmp");
       auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n](Slot s) {
-            RegionId region = 0;
-            wp->for_each_backing([&](auto& m) {
-              region = core::make_pmp_region(m, n, kLeaderP1,
-                                             core::slot_ns(s, "pmp"));
-            });
-            return region;
-          });
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p,
-            /*tag=*/config.algo == Algorithm::kAlignedPaxos ? 920 : 900));
-        if (config.algo == Algorithm::kAlignedPaxos) {
-          core::AlignedPaxosConfig ac;
-          ac.n = n;
-          w.engines.push_back(std::make_unique<core::AlignedEngine>(
-              w.exec, w.view_ptrs[p - 1], *w.transports.back(), *w.omega, pool,
-              ac));
-        } else {
-          core::PmpConfig pc;
-          pc.n = n;
-          w.engines.push_back(std::make_unique<core::PmpEngine>(
-              w.exec, w.view_ptrs[p - 1], *w.transports.back(), *w.omega, pool,
-              pc));
-        }
-      }
-      break;
-    }
-
-    case Algorithm::kFastRobust: {
-      auto pool = std::make_shared<core::SlotRegions<core::FastRobustSlotRegions>>(
-          [wp = &w, n](Slot s) {
-            core::FastRobustSlotRegions out;
-            wp->for_each_backing([&](auto& m) {
-              out.cq = core::make_cq_regions(m, n, kLeaderP1,
-                                             core::slot_ns(s, "cq"));
-              out.neb = core::make_neb_regions(m, n, core::slot_ns(s, "neb"));
-            });
-            return out;
-          });
-      w.fr_regions = pool;
-      // Byzantine region attacks target the first slot's regions.
-      w.neb_prefix = core::slot_ns(0, "neb");
-      w.cq_prefix = core::slot_ns(0, "cq");
-      if (!config.faults.byzantine.empty()) {
-        const core::FastRobustSlotRegions& r0 = pool->get(0);
-        w.neb_region_ids = r0.neb;
-        w.cq_region_leader_ = r0.cq.leader;
-      }
-
-      core::FastRobustConfig fc;
-      fc.n = n;
-      fc.f = fP;
-      fc.cheap.n = n;
-      fc.cheap.timeout = config.cq_timeout;
-      fc.neb.n = n;
-      fc.paxos.n = n;
-      fc.paxos.round_timeout = 150 * n;  // backup runs over NEB (see above)
-      fc.paxos.retry_backoff = 40;
-      for (ProcessId p : all) {
-        w.engines.push_back(std::make_unique<core::FastRobustEngine>(
-            w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
-            *w.omega, fc));
-      }
-      break;
-    }
-
-    case Algorithm::kRobustBackup:
-      throw std::invalid_argument(
-          "SMR mode: RobustBackup has no ConsensusEngine adapter (use "
-          "FastRobust, whose backup path is RobustBackup(Paxos))");
-  }
-
-  // ---- Replicas + workload. ----
-  // Byzantine engines route everything through memories, where passive
-  // replicas could never be heard — every correct replica proposes each slot.
-  const bool all_propose = (config.algo == Algorithm::kFastRobust);
-  check_rejoin_support(config, config.smr.snapshot_interval,
-                       "smr.snapshot_interval");
-  smr::ReplicaConfig rc;
-  rc.batch = config.smr.batch;
-  rc.log.window = config.smr.window;
-  rc.log.all_propose = all_propose;
-  rc.log.snapshot_interval = config.smr.snapshot_interval;
-  rc.tune.enabled = config.smr.auto_tune;  // Replica forces off if all_propose
-  rc.tune.max_window = config.smr.max_window;
-  rc.tune.max_batch = config.smr.max_batch;
-  // Same clamp rule as smr::Replica (batch=0 would divide by zero here).
-  const std::size_t batch = std::max<std::size_t>(1, config.smr.batch);
-  const Slot fixed_slots = (config.smr.commands + batch - 1) / batch;
-  if (all_propose) rc.log.fixed_slots = fixed_slots;
-
-  for (ProcessId p : all) {
-    w.state_machines.push_back(std::make_unique<RecordingSm>());
-    if (config.faults.is_byzantine(p)) {
-      w.smr_replicas.push_back(nullptr);
-      continue;
-    }
-    w.smr_replicas.push_back(std::make_unique<smr::Replica>(
-        w.exec, *w.engines[p - 1], *w.omega, *w.state_machines.back(), rc));
-  }
-  for (ProcessId p : all) {
-    if (config.faults.is_byzantine(p)) continue;
-    w.engines[p - 1]->start();
-    w.smr_replicas[p - 1]->start();
-    for (std::size_t i = 0; i < config.smr.commands; ++i) {
-      w.smr_replicas[p - 1]->submit(util::to_bytes(smr_command(p, i)));
-    }
-    w.smr_replicas[p - 1]->flush();
-  }
-
-  spawn_byzantine(w, config);
-
-  // Crash-and-rejoin: rebuild each rejoining process at its scheduled time.
-  // The fresh incarnation submits nothing — commands its predecessor queued
-  // but never got decided are simply lost, which validity tolerates (applied
-  // ⊆ submitted); its job is to catch back up and stay in lockstep.
-  for (const auto& [p, t] : config.faults.process_rejoins) {
-    w.exec.call_at(t, [&w, rc, p = p] { rejoin_smr_process(w, rc, p); });
-  }
-
-  // ---- Run to quiescence. ----
-  // Leader mode: the current leader drained its queue and applied everything
-  // it proposed, and every correct replica caught up to the same log length.
-  // All-propose mode: every correct replica applied all fixed slots.
-  const auto done = [&]() -> bool {
-    if (all_propose) {
-      for (ProcessId p : all) {
-        if (!w.correct(p)) continue;
-        if (w.smr_replicas[p - 1]->log().applied_len() != fixed_slots) {
-          return false;
-        }
-      }
-      return true;
-    }
-    const ProcessId leader = w.omega->leader();
-    if (leader < 1 || leader > n || !w.correct(leader)) return false;
-    const smr::Replica& lr = *w.smr_replicas[leader - 1];
-    if (!lr.idle()) return false;
-    const Slot len = lr.log().applied_len();
-    for (ProcessId p : all) {
-      if (!w.correct(p)) continue;
-      if (w.smr_replicas[p - 1]->log().applied_len() != len) return false;
-    }
-    return true;
-  };
-  w.exec.run_until(done, config.horizon);
-
-  // ---- Report. ----
-  RunReport report;
-  report.termination = done();
-
-  std::set<std::string> submitted;
-  for (ProcessId p : all) {
-    if (config.faults.is_byzantine(p)) continue;
-    for (std::size_t i = 0; i < config.smr.commands; ++i) {
-      submitted.insert(smr_command(p, i));
-    }
-  }
-
-  std::vector<sim::Time> latencies;
-  std::vector<sim::Time> queue_waits;
-  std::uint64_t tuner_best_obs = 0;  // the busiest tuner = the leader's
-  const std::vector<std::string>* reference_log = nullptr;
-  for (ProcessId p : all) {
-    auto& row = w.reports[p - 1];
-    if (!row.byzantine && w.smr_replicas[p - 1] != nullptr) {
-      const smr::Replica& replica = *w.smr_replicas[p - 1];
-      const smr::RunStats stats = replica.stats();
-      row.log = w.state_machines[p - 1]->log;
-      row.decided = stats.slots_applied > 0;
-      row.decided_at = stats.last_apply_at;
-      row.fast_path = stats.slots_applied > 0 &&
-                      stats.fast_slots + stats.noop_slots >= stats.slots_applied;
-      std::string joined;
-      for (const auto& c : row.log) {
-        if (!joined.empty()) joined += '|';
-        joined += c;
-      }
-      row.decision = std::move(joined);
-
-      if (w.correct(p)) {
-        // Aggregate SMR metrics over correct replicas. fast-path is a
-        // proposer-local property (learners decide via DECIDE), so take the
-        // max rather than the last replica's count. At equal log length
-        // prefer the fuller command count: a rejoined replica's log-derived
-        // stats exclude slots a snapshot install covered, so a survivor's
-        // accounting is the exact one.
-        if (stats.slots_applied > report.slots_applied ||
-            (stats.slots_applied == report.slots_applied &&
-             stats.commands_applied > report.commands_applied)) {
-          report.slots_applied = stats.slots_applied;
-          report.commands_applied = stats.commands_applied;
-          report.noop_slots = stats.noop_slots;
-        }
-        report.fast_slots = std::max(report.fast_slots, stats.fast_slots);
-        const std::vector<sim::Time> won = smr::won_slot_latencies(replica.log());
-        latencies.insert(latencies.end(), won.begin(), won.end());
-        const std::vector<sim::Time> qw = smr::queue_wait_latencies(replica.log());
-        queue_waits.insert(queue_waits.end(), qw.begin(), qw.end());
-        report.occupancy_slots += stats.occupancy_slots;
-        report.occupancy_limit += stats.occupancy_limit;
-        add_recovery_counters(report, stats);
-        if (replica.tuner().enabled() && replica.tuner().observations() > 0) {
-          report.tuner_epochs += stats.tuner_epochs;
-          if (replica.tuner().observations() > tuner_best_obs) {
-            tuner_best_obs = replica.tuner().observations();
-            report.tuner_window = stats.tuner_window;
-            report.tuner_batch = stats.tuner_batch;
-          }
-          if (!report.tuner_trajectory.empty()) report.tuner_trajectory += '|';
-          report.tuner_trajectory +=
-              "p" + std::to_string(p) + ":" + stats.tuner_trajectory;
-        }
-        // Slot 0's record only survives on replicas that never compacted it
-        // away (records_base() > 0 means the first decision time was folded).
-        const auto& records = replica.log().records();
-        if (replica.log().applied_len() > 0 &&
-            replica.log().records_base() == 0 && !records.empty()) {
-          report.first_decision_delay =
-              std::min(report.first_decision_delay, records[0].decided_at);
-          report.first_correct_decision_delay = std::min(
-              report.first_correct_decision_delay, records[0].decided_at);
-        }
-        // Invariants: identical logs (SMR agreement), applied ⊆ submitted
-        // (SMR validity).
-        if (reference_log == nullptr) {
-          reference_log = &w.state_machines[p - 1]->log;
-        } else if (*reference_log != w.state_machines[p - 1]->log) {
-          report.agreement = false;
-        }
-        for (const auto& c : w.state_machines[p - 1]->log) {
-          if (!submitted.contains(c)) report.validity = false;
-        }
-      }
-    }
-    report.processes.push_back(row);
-  }
-  if (report.slots_applied > 0 && reference_log != nullptr &&
-      !reference_log->empty()) {
-    report.decided_value = reference_log->front();
-  }
-
-  std::sort(latencies.begin(), latencies.end());
-  report.commit_p50 = smr::latency_percentile(latencies, 50);
-  report.commit_p99 = smr::latency_percentile(latencies, 99);
-  report.commit_p999 = smr::latency_percentile(latencies, 99.9);
-  std::sort(queue_waits.begin(), queue_waits.end());
-  report.queue_wait_p50 = smr::latency_percentile(queue_waits, 50);
-  report.queue_wait_p99 = smr::latency_percentile(queue_waits, 99);
-  if (report.occupancy_limit > 0) {
-    report.window_occupancy = static_cast<double>(report.occupancy_slots) /
-                              static_cast<double>(report.occupancy_limit);
-  }
-
-  // Retired incarnations did real recovery work too (a first rejoiner may
-  // itself later serve catch-up before a second crash) — fold their counters
-  // in so the report covers every incarnation, per the RunReport contract.
-  for (const auto& retired : w.retired_replicas) {
-    if (retired != nullptr) add_recovery_counters(report, retired->stats());
-  }
-
-  fill_resource_counters(report, w, config);
-  if (report.slots_applied > 0) {
-    report.events_per_slot = static_cast<double>(report.events) /
-                             static_cast<double>(report.slots_applied);
-  }
-  if (config.algo == Algorithm::kFastRobust) {
-    for (const auto& engine : w.engines) {
-      add_tsend_stats(report, static_cast<const core::FastRobustEngine&>(*engine)
-                                  .tsend_stats());
-    }
-    finish_tsend_stats(report);
-  }
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// KV mode: `shards` independent smr::Replica groups over per-shard engine
-// instances — message traffic on a TransportMux sub per shard (each with its
-// own SlotTransportHub slot namespace inside the engine), memory traffic
-// under "g<shard>/"-prefixed slot regions — with a kv::Router providing
-// exactly-once client sessions and a kv::Workload driving closed-loop
-// clients.
-// ---------------------------------------------------------------------------
-
-/// Build one consensus group's engine for every process: message engines
-/// run over the per-process mux's sub-transport for `tag`; memory engines
-/// get a SlotRegions pool whose names live under `ns(base)`. Data shards
-/// and the reconfiguration config group differ only in tag and namespace.
-/// `byz_target` points the Byzantine region attacks at this group's slot 0.
-void build_kv_group(World& w, const ClusterConfig& config, std::uint8_t tag,
-                    const std::function<std::string(const char*)>& ns,
-                    std::vector<std::unique_ptr<core::ConsensusEngine>>& engines,
-                    bool byz_target) {
-  const std::size_t n = config.n;
-  const std::size_t fP = n > 0 ? (n - 1) / 2 : 0;
-
-  switch (config.algo) {
-    case Algorithm::kPaxos:
-    case Algorithm::kFastPaxos: {
-      core::PaxosConfig pc;
-      pc.n = n;
-      pc.skip_phase1_for_p1 = (config.algo == Algorithm::kFastPaxos);
-      for (ProcessId p : all_processes(n)) {
-        engines.push_back(std::make_unique<core::PaxosEngine>(
-            w.exec, w.muxes[p - 1]->sub(tag), *w.omega, pc));
-      }
-      break;
-    }
-
-    case Algorithm::kDiskPaxos: {
-      auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n, prefix = ns("dp")](Slot s) {
-            RegionId region = 0;
-            wp->for_each_backing([&](auto& m) {
-              region = core::make_disk_region(m, n,
-                                              core::slot_ns(s, prefix));
-            });
-            return region;
-          });
-      core::DiskPaxosConfig dc;
-      dc.n = n;
-      for (ProcessId p : all_processes(n)) {
-        engines.push_back(std::make_unique<core::DiskPaxosEngine>(
-            w.exec, w.view_ptrs[p - 1], w.muxes[p - 1]->sub(tag), *w.omega,
-            pool, dc, ns("dp")));
-      }
-      break;
-    }
-
-    case Algorithm::kProtectedMemoryPaxos:
-    case Algorithm::kAlignedPaxos: {
-      auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n, prefix = ns("pmp")](Slot s) {
+          [wp = &w, n, prefix](Slot s) {
             RegionId region = 0;
             wp->for_each_backing([&](auto& m) {
               region = core::make_pmp_region(m, n, kLeaderP1,
@@ -1130,22 +735,22 @@ void build_kv_group(World& w, const ClusterConfig& config, std::uint8_t tag,
             });
             return region;
           });
-      for (ProcessId p : all_processes(n)) {
-        if (config.algo == Algorithm::kAlignedPaxos) {
-          core::AlignedPaxosConfig ac;
-          ac.n = n;
-          engines.push_back(std::make_unique<core::AlignedEngine>(
-              w.exec, w.view_ptrs[p - 1], w.muxes[p - 1]->sub(tag), *w.omega,
-              pool, ac, ns("pmp")));
-        } else {
-          core::PmpConfig pc;
-          pc.n = n;
-          engines.push_back(std::make_unique<core::PmpEngine>(
-              w.exec, w.view_ptrs[p - 1], w.muxes[p - 1]->sub(tag), *w.omega,
-              pool, pc, ns("pmp")));
-        }
+      if (w.cfg.algo == Algorithm::kAlignedPaxos) {
+        core::AlignedPaxosConfig ac;
+        ac.n = n;
+        return [&w, transport, pool, ac, prefix](ProcessId p) {
+          core::Transport& t = transport(p);
+          return std::make_unique<core::AlignedEngine>(
+              w.exec, w.view_ptrs[p - 1], t, *w.omega, pool, ac, prefix);
+        };
       }
-      break;
+      core::PmpConfig pc;
+      pc.n = n;
+      return [&w, transport, pool, pc, prefix](ProcessId p) {
+        core::Transport& t = transport(p);
+        return std::make_unique<core::PmpEngine>(
+            w.exec, w.view_ptrs[p - 1], t, *w.omega, pool, pc, prefix);
+      };
     }
 
     case Algorithm::kFastRobust: {
@@ -1163,47 +768,361 @@ void build_kv_group(World& w, const ClusterConfig& config, std::uint8_t tag,
             return out;
           });
       if (byz_target) {
-        // Byzantine region attacks target the first shard's first slot.
+        // Byzantine region attacks target this group's first slot.
         w.neb_prefix = core::slot_ns(0, neb_prefix);
         w.cq_prefix = core::slot_ns(0, cq_prefix);
-        if (!config.faults.byzantine.empty()) {
+        if (!w.cfg.faults.byzantine.empty()) {
           const core::FastRobustSlotRegions& r0 = pool->get(0);
           w.neb_region_ids = r0.neb;
           w.cq_region_leader_ = r0.cq.leader;
         }
       }
 
-      core::FastRobustConfig fc;
-      fc.n = n;
-      fc.f = fP;
-      fc.cheap.n = n;
-      fc.cheap.timeout = config.cq_timeout;
-      fc.neb.n = n;
-      fc.paxos.n = n;
-      fc.paxos.round_timeout = 150 * n;  // backup runs over NEB
-      fc.paxos.retry_backoff = 40;
-      for (ProcessId p : all_processes(n)) {
-        engines.push_back(std::make_unique<core::FastRobustEngine>(
+      return [&w, pool, fc = fast_robust_config(w.cfg), cq_prefix,
+              neb_prefix](ProcessId p) {
+        return std::make_unique<core::FastRobustEngine>(
             w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
-            *w.omega, fc, cq_prefix, neb_prefix));
-      }
-      break;
+            *w.omega, fc, cq_prefix, neb_prefix);
+      };
     }
 
     case Algorithm::kRobustBackup:
-      throw std::invalid_argument(
-          "KV mode: RobustBackup has no ConsensusEngine adapter (use "
-          "FastRobust, whose backup path is RobustBackup(Paxos))");
+      break;
+  }
+  throw std::invalid_argument(
+      "SMR/KV mode: RobustBackup has no ConsensusEngine adapter (use "
+      "FastRobust, whose backup path is RobustBackup(Paxos))");
+}
+
+/// The smr::ReplicaConfig every replicated group starts from: the shared
+/// log knobs, plus all-propose mode where replicas cannot rely on a leader.
+smr::ReplicaConfig replica_config(const ClusterConfig& config,
+                                  bool all_propose) {
+  smr::ReplicaConfig rc;
+  rc.batch = config.log.batch;
+  rc.log.window = config.log.window;
+  rc.log.all_propose = all_propose;
+  rc.log.snapshot_interval = config.log.snapshot_interval;
+  rc.tune.enabled = config.log.auto_tune;  // Replica forces off if all_propose
+  rc.tune.max_window = config.log.max_window;
+  rc.tune.max_batch = config.log.max_batch;
+  return rc;
+}
+
+/// Build the group's engine on every process (Byzantine ones too: their
+/// engines exist but never start).
+void build_engines(World& w, Group& g) {
+  g.members.resize(w.cfg.n);
+  for (ProcessId p : all_processes(w.cfg.n)) {
+    g.members[p - 1].engine = g.make_engine(p);
   }
 }
 
-/// Build data shard `g` (mux tag g, "g<g>/" region namespace).
-void build_kv_shard(World& w, const ClusterConfig& config, std::size_t g) {
-  build_kv_group(
-      w, config, static_cast<std::uint8_t>(g),
-      [g](const char* base) { return kv::shard_ns(g, base); },
-      w.kv_engines[g], /*byz_target=*/g == 0);
+/// One machine per process and a replica over it on every correct one.
+void build_replicas(World& w, Group& g) {
+  for (ProcessId p : all_processes(w.cfg.n)) {
+    Member& m = g.members[p - 1];
+    m.machine = g.make_machine();
+    if (w.cfg.faults.is_byzantine(p)) continue;
+    m.replica = std::make_unique<smr::Replica>(w.exec, *m.engine, *w.omega,
+                                               *m.machine, g.rc);
+  }
 }
+
+/// KV mode's per-process base: one NetTransport + mux; group g's engines
+/// run over sub(g).
+void open_mux(World& w, ProcessId p) {
+  w.transports[p - 1] = std::make_unique<core::NetTransport>(
+      w.exec, w.network, p, /*tag=*/100);
+  w.muxes[p - 1] =
+      std::make_unique<core::TransportMux>(w.exec, *w.transports[p - 1]);
+}
+
+/// Rebuild process `p` as a fresh incarnation in every group: quarantine the
+/// crashed objects (live coroutine frames still reference them), free the
+/// network inbox, and start recovering replicas over a brand-new transport
+/// (plus mux, in KV mode) and engines, rebound into the router / migrator so
+/// client replies flow from the new incarnation. Volatile state is wiped by
+/// construction — everything the new incarnation knows arrives through
+/// snapshot + log catch-up from its peers.
+void rejoin_process(World& w, ProcessId p) {
+  for (Group& g : w.groups) {
+    if (smr::Replica* r = g.replica(p)) r->log().halt();
+    if (g.rebind) g.rebind(p, nullptr, nullptr);
+  }
+  w.transports[p - 1]->sever();
+  for (Group& g : w.groups) {
+    w.retired_members.push_back(std::move(g.members[p - 1]));
+  }
+  const bool muxed = !w.muxes.empty();
+  if (muxed) w.retired_muxes.push_back(std::move(w.muxes[p - 1]));
+  w.retired_transports.push_back(std::move(w.transports[p - 1]));
+
+  *w.alive[p - 1] = true;
+  w.network.revive(p);
+  // SMR engines reopen their direct transport inside make_engine.
+  if (muxed) open_mux(w, p);
+  for (Group& g : w.groups) {
+    Member& m = g.members[p - 1];
+    m.engine = g.make_engine(p);
+    m.machine = g.make_machine();
+    smr::ReplicaConfig rejoin_rc = g.rc;
+    rejoin_rc.log.recover = true;
+    m.replica = std::make_unique<smr::Replica>(w.exec, *m.engine, *w.omega,
+                                               *m.machine, rejoin_rc);
+  }
+  if (muxed) w.muxes[p - 1]->start();
+  for (Group& g : w.groups) {
+    Member& m = g.members[p - 1];
+    m.engine->start();
+    m.replica->start();
+    if (g.rebind) g.rebind(p, m.replica.get(), m.machine.get());
+  }
+  // Leadership may now revert to this (lower-id) process; wake the waiters.
+  w.omega->poke();
+}
+
+/// Crash-and-rejoin: rebuild each rejoining process at its scheduled time.
+/// A fresh incarnation submits nothing of its own — SMR commands its
+/// predecessor queued but never got decided are simply lost, which validity
+/// tolerates (applied ⊆ submitted); KV client commands are covered by the
+/// router's retry loop + session dedup.
+void schedule_rejoins(World& w) {
+  for (const auto& [p, t] : w.cfg.faults.process_rejoins) {
+    w.exec.call_at(t, [&w, p = p] { rejoin_process(w, p); });
+  }
+}
+
+/// Leader-mode quiescence of one group: the current leader is correct and
+/// idle (queue drained, everything it proposed applied), and every correct
+/// replica reached its log length.
+bool leader_settled(const World& w, const Group& g) {
+  const ProcessId leader = w.omega->leader();
+  if (leader < 1 || leader > w.cfg.n || !w.correct(leader)) return false;
+  const smr::Replica& lr = *g.replica(leader);
+  if (!lr.idle()) return false;
+  const Slot len = lr.log().applied_len();
+  for (ProcessId p = 1; p <= static_cast<ProcessId>(w.cfg.n); ++p) {
+    if (w.correct(p) && g.replica(p)->log().applied_len() != len) return false;
+  }
+  return true;
+}
+
+/// The per-replica report fold both replicated modes share, over every
+/// correct replica of every folded group: fast slots, commit and queue-wait
+/// latencies, window occupancy, recovery counters, the tuner outcome and
+/// the first decision time. Slot accounting stays with each mode.
+struct ReplicaFold {
+  std::vector<sim::Time> commit_latencies;
+  std::vector<sim::Time> queue_waits;
+  std::uint64_t tuner_best_obs = 0;  // the busiest tuner = a leader's
+
+  void add(RunReport& report, const Group& g, ProcessId p) {
+    const smr::Replica& replica = *g.replica(p);
+    const smr::RunStats stats = replica.stats();
+    // fast-path is a proposer-local property (learners decide via DECIDE),
+    // so take the max rather than the last replica's count.
+    report.fast_slots = std::max(report.fast_slots, stats.fast_slots);
+    const std::vector<sim::Time> won = smr::won_slot_latencies(replica.log());
+    commit_latencies.insert(commit_latencies.end(), won.begin(), won.end());
+    const std::vector<sim::Time> qw = smr::queue_wait_latencies(replica.log());
+    queue_waits.insert(queue_waits.end(), qw.begin(), qw.end());
+    report.occupancy_slots += stats.occupancy_slots;
+    report.occupancy_limit += stats.occupancy_limit;
+    add_recovery_counters(report, stats);
+    if (replica.tuner().enabled() && replica.tuner().observations() > 0) {
+      report.tuner_epochs += stats.tuner_epochs;
+      if (replica.tuner().observations() > tuner_best_obs) {
+        tuner_best_obs = replica.tuner().observations();
+        report.tuner_window = stats.tuner_window;
+        report.tuner_batch = stats.tuner_batch;
+      }
+      if (!report.tuner_trajectory.empty()) report.tuner_trajectory += '|';
+      report.tuner_trajectory +=
+          g.label + "p" + std::to_string(p) + ":" + stats.tuner_trajectory;
+    }
+    // Slot 0's record only survives on replicas that never compacted it
+    // away (records_base() > 0 means the first decision time was folded).
+    const auto& records = replica.log().records();
+    if (replica.log().applied_len() > 0 &&
+        replica.log().records_base() == 0 && !records.empty()) {
+      report.first_decision_delay =
+          std::min(report.first_decision_delay, records[0].decided_at);
+      report.first_correct_decision_delay = std::min(
+          report.first_correct_decision_delay, records[0].decided_at);
+    }
+  }
+
+  /// Percentiles, occupancy, retired incarnations, resource and t-send
+  /// counters — after the mode's own slot accounting is in `report`.
+  void finish(RunReport& report, World& w) {
+    std::sort(commit_latencies.begin(), commit_latencies.end());
+    report.commit_p50 = smr::latency_percentile(commit_latencies, 50);
+    report.commit_p99 = smr::latency_percentile(commit_latencies, 99);
+    report.commit_p999 = smr::latency_percentile(commit_latencies, 99.9);
+    std::sort(queue_waits.begin(), queue_waits.end());
+    report.queue_wait_p50 = smr::latency_percentile(queue_waits, 50);
+    report.queue_wait_p99 = smr::latency_percentile(queue_waits, 99);
+    if (report.occupancy_limit > 0) {
+      report.window_occupancy = static_cast<double>(report.occupancy_slots) /
+                                static_cast<double>(report.occupancy_limit);
+    }
+    // Retired incarnations did real recovery work too (a first rejoiner may
+    // itself later serve catch-up before a second crash) — fold their
+    // counters in so the report covers every incarnation, per the RunReport
+    // contract.
+    for (const Member& retired : w.retired_members) {
+      if (retired.replica != nullptr) {
+        add_recovery_counters(report, retired.replica->stats());
+      }
+    }
+    fill_resource_counters(report, w);
+    if (report.slots_applied > 0) {
+      report.events_per_slot = static_cast<double>(report.events) /
+                               static_cast<double>(report.slots_applied);
+    }
+    if (w.cfg.algo == Algorithm::kFastRobust) {
+      for (const Group& g : w.groups) {
+        for (const Member& m : g.members) {
+          add_tsend_stats(report,
+                          static_cast<const core::FastRobustEngine&>(*m.engine)
+                              .tsend_stats());
+        }
+      }
+      finish_tsend_stats(report);
+    }
+  }
+};
+
+// ---------------------------------------------------------------------------
+// SMR mode: one group of RecordingSm replicas, each correct one submitting
+// its own `commands`.
+// ---------------------------------------------------------------------------
+
+RunReport run_smr(World& w, const ClusterConfig& config) {
+  const std::size_t n = config.n;
+  const auto all = all_processes(n);
+
+  // ---- One engine per process, each over its own direct transport. ----
+  const net::MsgType tag = net_tag(config.algo);
+  w.transports.resize(n);
+  Group& group = w.groups.emplace_back();
+  group.make_engine = engine_factory(
+      w,
+      [&w, tag](ProcessId p) -> core::Transport& {
+        w.transports[p - 1] =
+            std::make_unique<core::NetTransport>(w.exec, w.network, p, tag);
+        return *w.transports[p - 1];
+      },
+      [](const char* base) { return std::string(base); },
+      /*byz_target=*/true);
+  group.make_machine = [] { return std::make_unique<RecordingSm>(); };
+  build_engines(w, group);
+
+  // ---- Replicas + workload. ----
+  // Byzantine engines route everything through memories, where passive
+  // replicas could never be heard — every correct replica proposes each slot.
+  const bool all_propose = (config.algo == Algorithm::kFastRobust);
+  group.rc = replica_config(config, all_propose);
+  // Same clamp rule as smr::Replica (batch=0 would divide by zero here).
+  const std::size_t batch = std::max<std::size_t>(1, config.log.batch);
+  const Slot fixed_slots = (config.smr.commands + batch - 1) / batch;
+  if (all_propose) group.rc.log.fixed_slots = fixed_slots;
+  build_replicas(w, group);
+  std::set<std::string> submitted;  // what SMR validity checks applies against
+  for (ProcessId p : all) {
+    if (config.faults.is_byzantine(p)) continue;
+    smr::Replica& replica = *group.replica(p);
+    group.members[p - 1].engine->start();
+    replica.start();
+    for (std::size_t i = 0; i < config.smr.commands; ++i) {
+      const std::string& command = *submitted.insert(smr_command(p, i)).first;
+      replica.submit(util::to_bytes(command));
+    }
+    replica.flush();
+  }
+
+  spawn_byzantine(w, config);
+  schedule_rejoins(w);
+
+  // ---- Run to quiescence. ----
+  // All-propose mode: every correct replica applied all fixed slots.
+  const auto done = [&]() -> bool {
+    if (!all_propose) return leader_settled(w, group);
+    for (ProcessId p : all) {
+      if (!w.correct(p)) continue;
+      if (group.replica(p)->log().applied_len() != fixed_slots) return false;
+    }
+    return true;
+  };
+  w.exec.run_until(done, config.horizon);
+
+  // ---- Report. ----
+  RunReport report;
+  report.termination = done();
+
+  ReplicaFold fold;
+  const std::vector<std::string>* reference_log = nullptr;
+  for (ProcessId p : all) {
+    auto& row = w.reports[p - 1];
+    const smr::Replica* replica = group.replica(p);
+    if (replica != nullptr) {
+      const smr::RunStats stats = replica->stats();
+      const std::vector<std::string>& log = group.machine<RecordingSm>(p).log;
+      row.log = log;
+      row.decided = stats.slots_applied > 0;
+      row.decided_at = stats.last_apply_at;
+      row.fast_path = stats.slots_applied > 0 &&
+                      stats.fast_slots + stats.noop_slots >= stats.slots_applied;
+      std::string joined;
+      for (const auto& c : row.log) {
+        if (!joined.empty()) joined += '|';
+        joined += c;
+      }
+      row.decision = std::move(joined);
+
+      if (w.correct(p)) {
+        // Slot accounting: the longest correct log. At equal length prefer
+        // the fuller command count: a rejoined replica's log-derived stats
+        // exclude slots a snapshot install covered, so a survivor's
+        // accounting is the exact one.
+        if (stats.slots_applied > report.slots_applied ||
+            (stats.slots_applied == report.slots_applied &&
+             stats.commands_applied > report.commands_applied)) {
+          report.slots_applied = stats.slots_applied;
+          report.commands_applied = stats.commands_applied;
+          report.noop_slots = stats.noop_slots;
+        }
+        fold.add(report, group, p);
+        // Invariants: identical logs (SMR agreement), applied ⊆ submitted
+        // (SMR validity).
+        if (reference_log == nullptr) {
+          reference_log = &log;
+        } else if (*reference_log != log) {
+          report.agreement = false;
+        }
+        for (const auto& c : log) {
+          if (!submitted.contains(c)) report.validity = false;
+        }
+      }
+    }
+    report.processes.push_back(row);
+  }
+  if (report.slots_applied > 0 && reference_log != nullptr &&
+      !reference_log->empty()) {
+    report.decided_value = reference_log->front();
+  }
+  fold.finish(report, w);
+  return report;
+}
+
+// ---------------------------------------------------------------------------
+// KV mode: `shards` groups of kv::StateMachine replicas — message traffic on
+// a TransportMux sub per group (each with its own SlotTransportHub slot
+// namespace inside the engine), memory traffic under "g<shard>/"-prefixed
+// slot regions — with a kv::Router providing exactly-once client sessions
+// and a kv::Workload driving closed-loop clients.
+// ---------------------------------------------------------------------------
 
 /// The table sink every config-group machine gets: offer to the cluster
 /// view (first replica to apply an epoch wins) and record the accepted
@@ -1228,6 +1147,13 @@ sim::Task<void> run_reconfig_plan(World* w, std::vector<ReconfigAction> plan) {
   w->reconfig_plan_done = true;
 }
 
+/// The process's mux sub for `tag` — a KV group's engine transport.
+TransportFor mux_sub(World& w, std::uint8_t tag) {
+  return [&w, tag](ProcessId p) -> core::Transport& {
+    return w.muxes[p - 1]->sub(tag);
+  };
+}
+
 RunReport run_kv(World& w, const ClusterConfig& config) {
   const std::size_t n = config.n;
   const auto all = all_processes(n);
@@ -1248,41 +1174,9 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   if (reconfig && groups > kv::kMaxTableGroups) {
     throw std::invalid_argument("KV mode: reconfig plan exceeds group cap");
   }
-  check_rejoin_support(config, config.kv.snapshot_interval,
-                       "kv.snapshot_interval");
 
-  // One base transport + mux per process; shard g's engine runs over sub(g).
-  for (ProcessId p : all) {
-    w.transports.push_back(std::make_unique<core::NetTransport>(
-        w.exec, w.network, p, /*tag=*/100));
-    w.muxes.push_back(
-        std::make_unique<core::TransportMux>(w.exec, *w.transports.back()));
-  }
-
-  w.kv_engines.resize(groups);
-  w.kv_machines.resize(groups);
-  w.kv_replicas.resize(groups);
-  for (std::size_t g = 0; g < groups; ++g) build_kv_shard(w, config, g);
-  if (reconfig) {
-    w.reconfig = true;
-    w.initial_table = kv::ShardTable::initial(shards);
-    w.table_view =
-        std::make_unique<reconfig::TableView>(w.exec, w.initial_table);
-    build_kv_group(
-        w, config, static_cast<std::uint8_t>(groups),
-        [](const char* base) { return kv::config_ns(base); }, w.cfg_engines,
-        /*byz_target=*/false);
-  }
-
-  // Replicas: one per (shard, correct process); Byzantine processes run none.
-  smr::ReplicaConfig rc;
-  rc.batch = config.kv.batch;
-  rc.log.window = config.kv.window;
-  rc.log.all_propose = fan_out;
-  rc.log.snapshot_interval = config.kv.snapshot_interval;
-  rc.tune.enabled = config.kv.auto_tune;  // Replica forces off if fan_out
-  rc.tune.max_window = config.kv.max_window;
-  rc.tune.max_batch = config.kv.max_batch;
+  // Replica config: every shard reads the shared log knobs.
+  smr::ReplicaConfig rc = replica_config(config, fan_out);
   // Reconfiguration runs serve range-snapshot drains over the control
   // channel; static runs keep the flag off so their event traces are
   // byte-identical to before the subsystem existed.
@@ -1295,53 +1189,78 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
     rc.log.fixed_slots = Slot{1} << 20;
     rc.log.noop_fillers = false;
   }
+
+  // One base transport + mux per process; group g's engines run over sub(g).
+  w.transports.resize(n);
+  w.muxes.resize(n);
+  for (ProcessId p : all) open_mux(w, p);
+
+  w.groups.resize(groups + (reconfig ? 1 : 0));
   for (std::size_t g = 0; g < groups; ++g) {
-    for (ProcessId p : all) {
-      w.kv_machines[g].push_back(std::make_unique<kv::StateMachine>());
+    Group& shard = w.groups[g];
+    shard.label = "g" + std::to_string(g);
+    shard.rc = rc;
+    shard.make_engine = engine_factory(
+        w, mux_sub(w, static_cast<std::uint8_t>(g)),
+        [g](const char* base) { return kv::shard_ns(g, base); },
+        /*byz_target=*/g == 0);
+    shard.make_machine = [&w, g,
+                          reconfig]() -> std::unique_ptr<smr::StateMachine> {
+      auto m = std::make_unique<kv::StateMachine>();
+      // Under reconfiguration every machine — a rejoiner's too — starts
+      // partitioned at the *initial* table: the group's log (or a peer's
+      // snapshot) carries it to the current epoch's ownership.
       if (reconfig) {
-        w.kv_machines[g].back()->configure_partition(
-            static_cast<std::uint32_t>(g), w.initial_table);
+        m->configure_partition(static_cast<std::uint32_t>(g), w.initial_table);
       }
-      if (config.faults.is_byzantine(p)) {
-        w.kv_replicas[g].push_back(nullptr);
-        continue;
-      }
-      w.kv_replicas[g].push_back(std::make_unique<smr::Replica>(
-          w.exec, *w.kv_engines[g][p - 1], *w.omega, *w.kv_machines[g].back(),
-          rc));
-    }
+      return m;
+    };
+    shard.rebind = [&w, g](ProcessId p, smr::Replica* r, smr::StateMachine* m) {
+      w.kv_router->rebind(g, p, r, static_cast<kv::StateMachine*>(m));
+    };
+    build_engines(w, shard);
   }
   if (reconfig) {
+    w.initial_table = kv::ShardTable::initial(shards);
+    w.table_view =
+        std::make_unique<reconfig::TableView>(w.exec, w.initial_table);
     // Config group: one TableMachine replica per correct process. Config
     // changes are rare and tiny — batch of 1, no range serving, but the
     // same snapshot cadence so rejoiners can catch up the table history.
-    w.cfg_rc = rc;
-    w.cfg_rc.batch = 1;
-    w.cfg_rc.log.serve_ranges = false;
-    w.cfg_rc.tune.enabled = false;
-    for (ProcessId p : all) {
-      w.cfg_machines.push_back(
-          std::make_unique<reconfig::TableMachine>(w.initial_table));
-      w.cfg_machines.back()->set_table_sink(table_sink_for(w));
-      if (config.faults.is_byzantine(p)) {
-        w.cfg_replicas.push_back(nullptr);
-        continue;
-      }
-      w.cfg_replicas.push_back(std::make_unique<smr::Replica>(
-          w.exec, *w.cfg_engines[p - 1], *w.omega, *w.cfg_machines.back(),
-          w.cfg_rc));
-    }
+    Group& cfg = w.groups.back();
+    cfg.label = "cfg";
+    cfg.rc = rc;
+    cfg.rc.batch = 1;
+    cfg.rc.log.serve_ranges = false;
+    cfg.rc.tune.enabled = false;
+    cfg.make_engine = engine_factory(
+        w, mux_sub(w, static_cast<std::uint8_t>(groups)),
+        [](const char* base) { return kv::config_ns(base); },
+        /*byz_target=*/false);
+    cfg.make_machine = [&w]() -> std::unique_ptr<smr::StateMachine> {
+      auto m = std::make_unique<reconfig::TableMachine>(w.initial_table);
+      // A rejoiner's sink re-attaches too: replayed old epochs are dropped
+      // by the view, so it installs the table without re-announcing flips.
+      m->set_table_sink(table_sink_for(w));
+      return m;
+    };
+    cfg.rebind = [&w](ProcessId p, smr::Replica* r, smr::StateMachine*) {
+      w.migrator->rebind_config(p, r);
+    };
+    build_engines(w, cfg);
   }
+  for (Group& g : w.groups) build_replicas(w, g);
 
   // Router + workload over every shard's replica group.
   std::vector<kv::ShardBackend> backends(groups);
   for (std::size_t g = 0; g < groups; ++g) {
     backends[g].fan_out = fan_out;
     for (ProcessId p : all) {
-      backends[g].replicas.push_back(w.kv_replicas[g][p - 1].get());
+      backends[g].replicas.push_back(w.groups[g].replica(p));
       backends[g].machines.push_back(
-          config.faults.is_byzantine(p) ? nullptr
-                                        : w.kv_machines[g][p - 1].get());
+          config.faults.is_byzantine(p)
+              ? nullptr
+              : &w.groups[g].machine<kv::StateMachine>(p));
     }
   }
   kv::RouterConfig router_cfg;
@@ -1357,7 +1276,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
       w.table_view.get());
   if (reconfig) {
     std::vector<smr::Replica*> cfg_backend;
-    for (ProcessId p : all) cfg_backend.push_back(w.cfg_replicas[p - 1].get());
+    for (ProcessId p : all) cfg_backend.push_back(w.groups.back().replica(p));
     w.migrator = std::make_unique<reconfig::Migrator>(
         w.exec, *w.omega, *w.table_view, std::move(cfg_backend), fan_out,
         *w.kv_router);
@@ -1381,55 +1300,34 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   w.kv_workload = std::make_unique<kv::Workload>(w.exec, *w.kv_router, wc);
 
   for (ProcessId p : all) w.muxes[p - 1]->start();
-  for (std::size_t g = 0; g < groups; ++g) {
+  for (Group& g : w.groups) {
     for (ProcessId p : all) {
       if (config.faults.is_byzantine(p)) continue;
-      w.kv_engines[g][p - 1]->start();
-      w.kv_replicas[g][p - 1]->start();
-    }
-  }
-  if (reconfig) {
-    for (ProcessId p : all) {
-      if (config.faults.is_byzantine(p)) continue;
-      w.cfg_engines[p - 1]->start();
-      w.cfg_replicas[p - 1]->start();
+      g.members[p - 1].engine->start();
+      g.replica(p)->start();
     }
   }
   w.kv_workload->start();
   if (reconfig) w.exec.spawn(run_reconfig_plan(&w, config.kv.reconfig));
   spawn_byzantine(w, config);
+  schedule_rejoins(w);
 
-  // Crash-and-rejoin: rebuild every shard replica of a rejoining process at
-  // its scheduled time. Client commands the dead incarnation dropped are
-  // covered by the router's retry loop + session dedup (exactly-once still
-  // holds end to end — that is the acceptance invariant).
-  for (const auto& [p, t] : config.faults.process_rejoins) {
-    w.exec.call_at(t, [&w, rc, p = p] { rejoin_kv_process(w, rc, p); });
-  }
-
-  // ---- Run to quiescence: every client answered, every shard converged
+  // ---- Run to quiescence: every client answered, every group converged
   // (no queued duplicates left, all correct replicas at one log length). ----
-  const auto group_settled =
-      [&](const std::vector<std::unique_ptr<smr::Replica>>& reps) -> bool {
+  const auto group_settled = [&](const Group& g) -> bool {
+    if (!fan_out) return leader_settled(w, g);
     Slot len = 0;
     bool have_len = false;
     for (ProcessId p : all) {
       if (!w.correct(p)) continue;
-      const smr::Replica& r = *reps[p - 1];
-      if (fan_out) {
-        if (!r.idle()) return false;
-      }
+      const smr::Replica& r = *g.replica(p);
+      if (!r.idle()) return false;
       if (!have_len) {
         len = r.log().applied_len();
         have_len = true;
       } else if (r.log().applied_len() != len) {
         return false;
       }
-    }
-    if (!fan_out) {
-      const ProcessId leader = w.omega->leader();
-      if (leader < 1 || leader > n || !w.correct(leader)) return false;
-      if (!reps[leader - 1]->idle()) return false;
     }
     return true;
   };
@@ -1438,10 +1336,9 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
     if (reconfig && (!w.reconfig_plan_done || !w.migrator->idle())) {
       return false;
     }
-    for (std::size_t g = 0; g < groups; ++g) {
-      if (!group_settled(w.kv_replicas[g])) return false;
+    for (const Group& g : w.groups) {
+      if (!group_settled(g)) return false;
     }
-    if (reconfig && !group_settled(w.cfg_replicas)) return false;
     return true;
   };
   w.exec.run_until(done, config.horizon);
@@ -1467,19 +1364,18 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   // past its client's issued count (KV validity), and — the global
   // exactly-once check — effective applied ops summing to exactly the
   // completed client ops, duplicates excluded.
-  std::vector<sim::Time> commit_latencies;
-  std::vector<sim::Time> queue_waits;
-  std::uint64_t tuner_best_obs = 0;  // the busiest tuner = a leader's
+  ReplicaFold fold;
   std::uint64_t combined_hash = util::kFnvOffset;
   std::uint64_t effective_total = 0;
   for (std::size_t g = 0; g < groups; ++g) {
+    const Group& shard = w.groups[g];
     const kv::StateMachine* reference = nullptr;
     const smr::Replica* ref_replica = nullptr;
     bool ref_rejoined = false;
     for (ProcessId p : all) {
       if (!w.correct(p)) continue;
-      const kv::StateMachine& sm = *w.kv_machines[g][p - 1];
-      const smr::Replica& replica = *w.kv_replicas[g][p - 1];
+      const kv::StateMachine& sm = shard.machine<kv::StateMachine>(p);
+      const smr::Replica& replica = *shard.replica(p);
       // Slot accounting reference: prefer a replica that never rejoined — a
       // rejoiner's log-derived stats exclude slots its snapshot install
       // covered, while a survivor's fold is exact.
@@ -1521,37 +1417,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
         report.agreement = false;
       }
       if (sm.malformed() != 0) report.validity = false;
-      const smr::RunStats stats = replica.stats();
-      report.fast_slots = std::max(report.fast_slots, stats.fast_slots);
-      const std::vector<sim::Time> won = smr::won_slot_latencies(replica.log());
-      commit_latencies.insert(commit_latencies.end(), won.begin(), won.end());
-      const std::vector<sim::Time> qw = smr::queue_wait_latencies(replica.log());
-      queue_waits.insert(queue_waits.end(), qw.begin(), qw.end());
-      report.occupancy_slots += stats.occupancy_slots;
-      report.occupancy_limit += stats.occupancy_limit;
-      add_recovery_counters(report, stats);
-      if (replica.tuner().enabled() && replica.tuner().observations() > 0) {
-        report.tuner_epochs += stats.tuner_epochs;
-        if (replica.tuner().observations() > tuner_best_obs) {
-          tuner_best_obs = replica.tuner().observations();
-          report.tuner_window = stats.tuner_window;
-          report.tuner_batch = stats.tuner_batch;
-        }
-        if (!report.tuner_trajectory.empty()) report.tuner_trajectory += '|';
-        report.tuner_trajectory += "g" + std::to_string(g) + "p" +
-                                   std::to_string(p) + ":" +
-                                   stats.tuner_trajectory;
-      }
-      // Slot 0's record only survives on replicas that never compacted it
-      // away (records_base() > 0 means the first decision time was folded).
-      const auto& records = replica.log().records();
-      if (replica.log().applied_len() > 0 &&
-          replica.log().records_base() == 0 && !records.empty()) {
-        report.first_decision_delay =
-            std::min(report.first_decision_delay, records[0].decided_at);
-        report.first_correct_decision_delay = std::min(
-            report.first_correct_decision_delay, records[0].decided_at);
-      }
+      fold.add(report, shard, p);
     }
     if (ref_replica != nullptr) {
       // Reference replica's stats drive the aggregate slot accounting (all
@@ -1572,7 +1438,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
     const reconfig::TableMachine* cfg_ref = nullptr;
     for (ProcessId p : all) {
       if (!w.correct(p)) continue;
-      const reconfig::TableMachine& tm = *w.cfg_machines[p - 1];
+      const auto& tm = w.groups.back().machine<reconfig::TableMachine>(p);
       if (cfg_ref == nullptr) {
         cfg_ref = &tm;
       } else if (tm.state_hash() != cfg_ref->state_hash()) {
@@ -1615,19 +1481,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   report.kv_txn_commit_p50 = smr::latency_percentile(txn_latencies, 50);
   report.kv_txn_commit_p999 = smr::latency_percentile(txn_latencies, 99.9);
 
-  std::sort(commit_latencies.begin(), commit_latencies.end());
-  report.commit_p50 = smr::latency_percentile(commit_latencies, 50);
-  report.commit_p99 = smr::latency_percentile(commit_latencies, 99);
-  report.commit_p999 = smr::latency_percentile(commit_latencies, 99.9);
-  std::sort(queue_waits.begin(), queue_waits.end());
-  report.queue_wait_p50 = smr::latency_percentile(queue_waits, 50);
-  report.queue_wait_p99 = smr::latency_percentile(queue_waits, 99);
-  if (report.occupancy_limit > 0) {
-    report.window_occupancy = static_cast<double>(report.occupancy_slots) /
-                              static_cast<double>(report.occupancy_limit);
-  }
-
-  // Per-process rows: one row per process, its per-shard applied lengths +
+  // Per-process rows: one row per process, its per-group applied lengths +
   // store hashes joined — the determinism fingerprint for KV runs.
   for (ProcessId p : all) {
     auto& row = w.reports[p - 1];
@@ -1635,21 +1489,17 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
       std::ostringstream os;
       sim::Time last_apply = 0;
       bool any = false;
-      for (std::size_t g = 0; g < groups; ++g) {
-        const smr::Replica* replica = w.kv_replicas[g][p - 1].get();
-        if (replica == nullptr) continue;
-        const smr::RunStats stats = replica->stats();
-        if (stats.slots_applied > 0) any = true;
+      for (std::size_t g = 0; g < w.groups.size(); ++g) {
+        const Group& group = w.groups[g];
+        const smr::RunStats stats = group.replica(p)->stats();
+        const bool shard = g < groups;
+        if (shard && stats.slots_applied > 0) any = true;
         last_apply = std::max(last_apply, stats.last_apply_at);
-        os << (g > 0 ? "|" : "") << "g" << g << ":slots="
-           << stats.slots_applied << ",h=" << std::hex
-           << w.kv_machines[g][p - 1]->store_hash() << std::dec;
-      }
-      if (reconfig && w.cfg_replicas[p - 1] != nullptr) {
-        const smr::RunStats stats = w.cfg_replicas[p - 1]->stats();
-        last_apply = std::max(last_apply, stats.last_apply_at);
-        os << "|cfg:slots=" << stats.slots_applied << ",h=" << std::hex
-           << w.cfg_machines[p - 1]->state_hash() << std::dec;
+        os << (g > 0 ? "|" : "") << group.label
+           << ":slots=" << stats.slots_applied << ",h=" << std::hex
+           << (shard ? group.machine<kv::StateMachine>(p).store_hash()
+                     : group.machine<reconfig::TableMachine>(p).state_hash())
+           << std::dec;
       }
       row.decided = any;
       row.decided_at = last_apply;
@@ -1660,49 +1510,19 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   if (report.kv_ops > 0) {
     report.decided_value = "kv:" + std::to_string(report.kv_store_hash);
   }
-
-  // Retired incarnations' recovery work counts too (see run_smr).
-  for (const auto& retired : w.retired_replicas) {
-    if (retired != nullptr) add_recovery_counters(report, retired->stats());
-  }
-
-  fill_resource_counters(report, w, config);
-  if (report.slots_applied > 0) {
-    report.events_per_slot = static_cast<double>(report.events) /
-                             static_cast<double>(report.slots_applied);
-  }
-  if (config.algo == Algorithm::kFastRobust) {
-    for (const auto& shard_engines : w.kv_engines) {
-      for (const auto& engine : shard_engines) {
-        add_tsend_stats(report,
-                        static_cast<const core::FastRobustEngine&>(*engine)
-                            .tsend_stats());
-      }
-    }
-    for (const auto& engine : w.cfg_engines) {
-      add_tsend_stats(report,
-                      static_cast<const core::FastRobustEngine&>(*engine)
-                          .tsend_stats());
-    }
-    finish_tsend_stats(report);
-  }
+  fold.finish(report, w);
   return report;
 }
 
 }  // namespace
 
 RunReport run_cluster(const ClusterConfig& config) {
+  check_rejoin_support(config);
   World w(config);
   if (config.kv.enabled) return run_kv(w, config);
   if (config.smr.enabled) return run_smr(w, config);
-  if (!config.faults.process_rejoins.empty()) {
-    throw std::invalid_argument(
-        "crash-and-rejoin requires SMR or KV mode (single-shot consensus has "
-        "no log to catch up on)");
-  }
   const std::size_t n = config.n;
   const auto all = all_processes(n);
-  const std::size_t fP = n > 0 ? (n - 1) / 2 : 0;  // tolerance n >= 2f+1
 
   // ---- Wire the chosen algorithm. ----
   switch (config.algo) {
@@ -1712,8 +1532,8 @@ RunReport run_cluster(const ClusterConfig& config) {
       pc.n = n;
       pc.skip_phase1_for_p1 = (config.algo == Algorithm::kFastPaxos);
       for (ProcessId p : all) {
-        w.transports.push_back(
-            std::make_unique<core::NetTransport>(w.exec, w.network, p, /*tag=*/100));
+        w.transports.push_back(std::make_unique<core::NetTransport>(
+            w.exec, w.network, p, net_tag(config.algo)));
         w.paxoses.push_back(
             std::make_unique<core::Paxos>(w.exec, *w.transports.back(), *w.omega, pc));
       }
@@ -1734,7 +1554,7 @@ RunReport run_cluster(const ClusterConfig& config) {
       dc.n = n;
       for (ProcessId p : all) {
         w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/910));
+            w.exec, w.network, p, net_tag(config.algo)));
         w.disk_paxoses.push_back(std::make_unique<core::DiskPaxos>(
             w.exec, w.view_ptrs[p - 1], region, *w.transports.back(), *w.omega,
             dc));
@@ -1755,7 +1575,7 @@ RunReport run_cluster(const ClusterConfig& config) {
       pc.n = n;
       for (ProcessId p : all) {
         w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/900));
+            w.exec, w.network, p, net_tag(config.algo)));
         w.pmps.push_back(std::make_unique<core::ProtectedMemoryPaxos>(
             w.exec, w.view_ptrs[p - 1], region, *w.transports.back(), *w.omega,
             pc));
@@ -1776,7 +1596,7 @@ RunReport run_cluster(const ClusterConfig& config) {
       ac.n = n;
       for (ProcessId p : all) {
         w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/920));
+            w.exec, w.network, p, net_tag(config.algo)));
         w.aligneds.push_back(std::make_unique<core::AlignedPaxos>(
             w.exec, w.view_ptrs[p - 1], region, *w.transports.back(), *w.omega,
             ac));
@@ -1794,15 +1614,11 @@ RunReport run_cluster(const ClusterConfig& config) {
       std::map<ProcessId, RegionId> neb_regions;
       w.for_each_backing([&](auto& m) { neb_regions = core::make_neb_regions(m, n); });
       w.neb_region_ids = neb_regions;
+      const core::FastRobustConfig fc = fast_robust_config(config);
       core::RobustBackupConfig rc;
       rc.n = n;
-      rc.neb.n = n;
-      rc.paxos.n = n;
-      // Rounds run over non-equivocating broadcast (≥6 delays per hop, plus
-      // scan latency growing with n); give proposers generous patience so
-      // they don't abort rounds that are still in flight.
-      rc.paxos.round_timeout = 150 * n;
-      rc.paxos.retry_backoff = 40;
+      rc.neb = fc.neb;
+      rc.paxos = fc.paxos;
       for (ProcessId p : all) {
         w.neb_slots.push_back(std::make_unique<core::NebSlots>(
             w.exec, w.view_ptrs[p - 1], neb_regions));
@@ -1829,15 +1645,7 @@ RunReport run_cluster(const ClusterConfig& config) {
       w.neb_region_ids = neb_regions;
       w.cq_region_leader_ = cq_regions.leader;
 
-      core::FastRobustConfig fc;
-      fc.n = n;
-      fc.f = fP;
-      fc.cheap.n = n;
-      fc.cheap.timeout = config.cq_timeout;
-      fc.neb.n = n;
-      fc.paxos.n = n;
-      fc.paxos.round_timeout = 150 * n;  // backup runs over NEB (see above)
-      fc.paxos.retry_backoff = 40;
+      const core::FastRobustConfig fc = fast_robust_config(config);
       for (ProcessId p : all) {
         w.neb_slots.push_back(std::make_unique<core::NebSlots>(
             w.exec, w.view_ptrs[p - 1], neb_regions));
@@ -1889,7 +1697,7 @@ RunReport run_cluster(const ClusterConfig& config) {
   }
   report.decided_value = decided;
 
-  fill_resource_counters(report, w, config);
+  fill_resource_counters(report, w);
   for (const auto& rb : w.robust_backups) add_tsend_stats(report, rb->tsend_stats());
   for (const auto& fr : w.fast_robusts) add_tsend_stats(report, fr->tsend_stats());
   finish_tsend_stats(report);

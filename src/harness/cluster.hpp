@@ -64,7 +64,7 @@ struct FaultPlan {
   /// time, strictly earlier) restart at the given time with volatile state
   /// wiped — a fresh replica incarnation that recovers through snapshot +
   /// log catch-up from its peers. Message-based SMR/KV engines only
-  /// (kPaxos / kFastPaxos), and the relevant snapshot_interval must be > 0.
+  /// (kPaxos / kFastPaxos), and log.snapshot_interval must be > 0.
   std::map<ProcessId, sim::Time> process_rejoins;
 
   /// Processes still down at the horizon — what resilience accounting (and
@@ -82,18 +82,12 @@ struct FaultPlan {
   bool rejoins(ProcessId p) const { return process_rejoins.contains(p); }
 };
 
-/// Multi-slot (state-machine replication) mode: instead of one consensus
-/// instance, every correct replica runs an smr::Replica over the chosen
-/// algorithm's core::ConsensusEngine adapter, submits `commands` commands
-/// (batched `batch` per slot, `window` slots in flight), and the run checks
-/// SMR invariants: identical applied logs, in-order apply, termination.
-/// Fault plans (crashes, Byzantine strategies) apply exactly as in
-/// single-shot mode; Byzantine region attacks target slot 0's regions.
-struct SmrConfig {
-  bool enabled = false;
-  std::size_t commands = 32;  // workload submitted per correct replica
+/// Replicated-log knobs shared by SMR and KV modes: SMR mode's single log,
+/// every KV shard and the reconfiguration config group all read this one
+/// block (the config group overrides batch to 1 and never tunes).
+struct LogKnobs {
   std::size_t batch = 4;      // commands packed per slot payload
-  std::size_t window = 8;     // max in-flight slots
+  std::size_t window = 8;     // max in-flight slots (per group)
   /// Online self-tuning (smr::Tuner): window/batch above become the
   /// controller's starting point, adapted per epoch within the bounds below.
   /// Leader-driven algorithms only (forced off under all-propose engines).
@@ -105,6 +99,20 @@ struct SmrConfig {
   /// every this-many applies, and serves snapshot + suffix catch-up to
   /// rejoining peers. 0 = off (required > 0 for process_rejoins).
   Slot snapshot_interval = 0;
+};
+
+/// Multi-slot (state-machine replication) mode: instead of one consensus
+/// instance, every correct replica runs an smr::Replica over the chosen
+/// algorithm's core::ConsensusEngine adapter, submits `commands` commands
+/// (shaped by ClusterConfig::log), and the run checks SMR invariants:
+/// identical applied logs, in-order apply, termination. It is the same
+/// replicated-group stack as one KV shard, over a direct transport and
+/// un-prefixed regions. Fault plans (crashes, Byzantine strategies) apply
+/// exactly as in single-shot mode; Byzantine region attacks target slot
+/// 0's regions.
+struct SmrConfig {
+  bool enabled = false;
+  std::size_t commands = 32;  // workload submitted per correct replica
 };
 
 /// Sharded-KV mode: the key space is hash-partitioned across `shards`
@@ -135,8 +143,6 @@ struct KvConfig {
   kv::Mix mix = kv::Mix::kA;
   kv::KeyDist dist = kv::KeyDist::kUniform;
   std::size_t keys = 64;      // key-space size
-  std::size_t batch = 4;      // commands packed per slot payload
-  std::size_t window = 8;     // max in-flight slots per shard
   /// Client reply deadline before a (dedup-covered) re-submission: the
   /// cold-start value with adaptive retry on, the fixed deadline otherwise.
   sim::Time retry_timeout = 64;
@@ -144,12 +150,6 @@ struct KvConfig {
   /// exponential backoff (kv::RouterConfig::adaptive_retry) instead of
   /// re-submitting on the fixed timeout above.
   bool adaptive_retry = true;
-  /// Online self-tuning of each shard's window/batch (see SmrConfig).
-  bool auto_tune = false;
-  std::size_t max_window = 16;
-  std::size_t max_batch = 8;
-  /// Per-shard snapshot + log compaction cadence (see SmrConfig).
-  Slot snapshot_interval = 0;
   /// Client-signed commands: every client (and the Migrator's admin
   /// session) signs each command under its own keystore identity, and
   /// every state machine verifies before the session lookup — forged
@@ -202,6 +202,7 @@ struct ClusterConfig {
   sim::Time horizon = 60000;
   sim::Time cq_timeout = 120;
 
+  LogKnobs log;  // read by SMR and KV modes alike
   SmrConfig smr;
   KvConfig kv;
 

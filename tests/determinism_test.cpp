@@ -290,8 +290,8 @@ ClusterConfig smr(ClusterConfig c, std::size_t commands, std::size_t batch,
                   std::size_t window) {
   c.smr.enabled = true;
   c.smr.commands = commands;
-  c.smr.batch = batch;
-  c.smr.window = window;
+  c.log.batch = batch;
+  c.log.window = window;
   return c;
 }
 
@@ -367,7 +367,7 @@ const std::vector<Case>& cases() {
     v.push_back({"SmrCrashAndRejoin", [] {
                    ClusterConfig c =
                        smr(cluster(Algorithm::kFastPaxos, 3, 0, 7), 24, 2, 4);
-                   c.smr.snapshot_interval = 4;
+                   c.log.snapshot_interval = 4;
                    c.faults.process_crashes[1] = 6;
                    c.faults.process_rejoins[1] = 400;
                    return c;
@@ -378,10 +378,10 @@ const std::vector<Case>& cases() {
                    c.kv.shards = 2;
                    c.kv.clients = 6;
                    c.kv.ops_per_client = 8;
-                   c.kv.batch = 1;
-                   c.kv.window = 2;
+                   c.log.batch = 1;
+                   c.log.window = 2;
                    c.kv.retry_timeout = 24;
-                   c.kv.snapshot_interval = 4;
+                   c.log.snapshot_interval = 4;
                    c.faults.process_crashes[1] = 7;
                    c.faults.process_rejoins[1] = 600;
                    return c;
@@ -412,20 +412,20 @@ const std::vector<Case>& cases() {
     v.push_back({"SmrAutoTuneTrajectory", [] {
                    ClusterConfig c =
                        smr(cluster(Algorithm::kFastPaxos, 3, 0, 42), 96, 1, 1);
-                   c.smr.auto_tune = true;
+                   c.log.auto_tune = true;
                    return c;
                  }});
     v.push_back({"SmrAutoTuneUnderLeaderCrash", [] {
                    ClusterConfig c =
                        smr(cluster(Algorithm::kFastPaxos, 3, 0, 7), 64, 2, 2);
-                   c.smr.auto_tune = true;
+                   c.log.auto_tune = true;
                    c.faults.process_crashes[1] = 6;
                    return c;
                  }});
     v.push_back({"FixedConfigUnchangedByTunerPlumbing", [] {
                    ClusterConfig c =
                        smr(cluster(Algorithm::kFastPaxos, 3, 0, 42), 24, 2, 4);
-                   c.smr.auto_tune = false;
+                   c.log.auto_tune = false;
                    return c;
                  }});
     v.push_back({"KvShardedZipfian", [] {
@@ -444,8 +444,8 @@ const std::vector<Case>& cases() {
                    c.kv.shards = 2;
                    c.kv.clients = 6;
                    c.kv.ops_per_client = 8;
-                   c.kv.batch = 1;
-                   c.kv.window = 2;
+                   c.log.batch = 1;
+                   c.log.window = 2;
                    c.kv.retry_timeout = 3;
                    c.faults.process_crashes[1] = 9;
                    return c;
@@ -456,9 +456,9 @@ const std::vector<Case>& cases() {
                    c.kv.shards = 2;
                    c.kv.clients = 16;
                    c.kv.ops_per_client = 12;
-                   c.kv.batch = 1;
-                   c.kv.window = 1;
-                   c.kv.auto_tune = true;
+                   c.log.batch = 1;
+                   c.log.window = 1;
+                   c.log.auto_tune = true;
                    c.kv.adaptive_retry = true;
                    return c;
                  }});

@@ -145,8 +145,8 @@ TEST(FastRobustEngine, BackupTakeoverUnderByzantineLeaderAndSlowSchedule) {
   c.seed = 5;
   c.smr.enabled = true;
   c.smr.commands = 6;
-  c.smr.batch = 2;
-  c.smr.window = 2;
+  c.log.batch = 2;
+  c.log.window = 2;
   c.cq_timeout = 10;  // followers panic quickly: leader looks slow
   c.faults.byzantine[1] = harness::ByzantineStrategy::kCqLeaderEquivocate;
   const harness::RunReport r = harness::run_cluster(c);

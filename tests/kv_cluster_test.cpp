@@ -85,8 +85,8 @@ TEST(KvCluster, MoreShardsMoreThroughput) {
   // (window × batch): aggregate ops/kdelay must grow with the shard count.
   ClusterConfig one = kv_config(Algorithm::kFastPaxos, 3, 0, 1, 32, 8);
   one.kv.mix = kv::Mix::kC;
-  one.kv.window = 4;
-  one.kv.batch = 4;
+  one.log.window = 4;
+  one.log.batch = 4;
   one.kv.keys = 256;
   ClusterConfig four = one;
   four.kv.shards = 4;
@@ -132,8 +132,8 @@ TEST(KvCluster, ClientRetryAcrossLeaderCrashExactlyOnce) {
   c.kv.retry_timeout = 24;
   // A tight pipeline (1 command per slot, 2 slots in flight) keeps commands
   // queued at the leader, so the crash reliably strands some unproposed.
-  c.kv.batch = 1;
-  c.kv.window = 2;
+  c.log.batch = 1;
+  c.log.window = 2;
   c.faults.process_crashes[1] = 7;  // mid-stream, slots in flight + queued
   const RunReport r = run_cluster(c);
   EXPECT_TRUE(r.agreement) << r.summary();
@@ -175,9 +175,9 @@ TEST(KvCluster, CrashAndRejoinConvergesExactlyOnce) {
   // the restart.
   ClusterConfig c = kv_config(Algorithm::kFastPaxos, 3, 0, 2, 6, 8);
   c.kv.retry_timeout = 24;
-  c.kv.batch = 1;
-  c.kv.window = 2;
-  c.kv.snapshot_interval = 4;
+  c.log.batch = 1;
+  c.log.window = 2;
+  c.log.snapshot_interval = 4;
   c.faults.process_crashes[1] = 7;  // mid-stream, slots in flight + queued
   c.faults.process_rejoins[1] = 600;
   const RunReport r = run_cluster(c);
@@ -206,7 +206,7 @@ TEST(KvCluster, DuplicateRetryAcrossShardRestartStaysExactlyOnce) {
   ClusterConfig c = kv_config(Algorithm::kFastPaxos, 3, 0, 2, 6, 8);
   c.kv.retry_timeout = 3;
   c.kv.adaptive_retry = false;
-  c.kv.snapshot_interval = 4;
+  c.log.snapshot_interval = 4;
   c.faults.process_crashes[1] = 9;
   c.faults.process_rejoins[1] = 500;
   const RunReport r = run_cluster(c);
@@ -367,8 +367,8 @@ TEST(KvCluster, AdaptiveDeadlineBacksOffExponentially) {
   // re-submissions.
   ClusterConfig fixed = kv_config(Algorithm::kFastPaxos, 3, 0, 1, 6, 8);
   fixed.kv.retry_timeout = 4;
-  fixed.kv.batch = 1;  // 6 clients vs 2 slots in flight: commands queue at
-  fixed.kv.window = 2;  // the leader, so the crash reliably strands some
+  fixed.log.batch = 1;  // 6 clients vs 2 slots in flight: commands queue at
+  fixed.log.window = 2;  // the leader, so the crash reliably strands some
   fixed.kv.adaptive_retry = false;
   fixed.faults.process_crashes[1] = 7;
   ClusterConfig adaptive = fixed;

@@ -469,7 +469,7 @@ TEST(ReconfigCluster, RejoinerLandsInPostSplitWorld) {
   // group's state hash) is the oracle.
   ClusterConfig c = reconfig_config(/*shards=*/1, /*clients=*/6, /*ops=*/16);
   c.kv.retry_timeout = 24;
-  c.kv.snapshot_interval = 4;
+  c.log.snapshot_interval = 4;
   c.kv.reconfig.push_back({/*at=*/40, ChangeKind::kSplit, 0, 1});
   c.faults.process_crashes[3] = 20;
   c.faults.process_rejoins[3] = 900;

@@ -123,8 +123,8 @@ ClusterConfig smr_config(Algorithm algo, std::size_t n, std::size_t m,
   c.m = m;
   c.smr.enabled = true;
   c.smr.commands = commands;
-  c.smr.batch = batch;
-  c.smr.window = window;
+  c.log.batch = batch;
+  c.log.window = window;
   return c;
 }
 
@@ -261,9 +261,9 @@ TEST(SmrCluster, AutoTuneGrowsCapacityUnderBacklogWithinBounds) {
   // run must finish markedly faster than the fixed w1/b1 run.
   ClusterConfig fixed = smr_config(Algorithm::kFastPaxos, 3, 0, 128, 1, 1);
   ClusterConfig tuned = fixed;
-  tuned.smr.auto_tune = true;
-  tuned.smr.max_window = 16;
-  tuned.smr.max_batch = 8;
+  tuned.log.auto_tune = true;
+  tuned.log.max_window = 16;
+  tuned.log.max_batch = 8;
   const RunReport rf = harness::run_cluster(fixed);
   const RunReport rt = harness::run_cluster(tuned);
   ASSERT_TRUE(rf.all_ok()) << rf.summary();
@@ -273,8 +273,8 @@ TEST(SmrCluster, AutoTuneGrowsCapacityUnderBacklogWithinBounds) {
   EXPECT_FALSE(rt.tuner_trajectory.empty());
   EXPECT_GT(rt.tuner_window * rt.tuner_batch, 1u)
       << "backlog must have grown capacity: " << rt.summary();
-  EXPECT_LE(rt.tuner_window, tuned.smr.max_window);
-  EXPECT_LE(rt.tuner_batch, tuned.smr.max_batch);
+  EXPECT_LE(rt.tuner_window, tuned.log.max_window);
+  EXPECT_LE(rt.tuner_batch, tuned.log.max_batch);
   ASSERT_GT(rt.slots_applied, 0u);
   EXPECT_LT(rt.slots_applied, rf.slots_applied)
       << "merged batches must commit the workload in fewer slots";
@@ -284,7 +284,7 @@ TEST(SmrCluster, AutoTuneIsForcedOffUnderAllPropose) {
   // Byzantine engines need lockstep queues; the tuner must not engage even
   // when asked for, and the run must stay correct.
   ClusterConfig c = smr_config(Algorithm::kFastRobust, 3, 3, 4, 2, 2);
-  c.smr.auto_tune = true;
+  c.log.auto_tune = true;
   const RunReport r = harness::run_cluster(c);
   EXPECT_TRUE(r.all_ok()) << r.summary();
   EXPECT_EQ(r.tuner_epochs, 0u);
@@ -393,7 +393,7 @@ TEST(SmrCluster, LeaderCrashAndRejoinCatchesUpAndConverges) {
   // retained suffix, and end bit-identical to the survivors — after which
   // it is the lowest-id correct process and takes leadership back.
   ClusterConfig c = smr_config(Algorithm::kFastPaxos, 3, 0, 24, 2, 4);
-  c.smr.snapshot_interval = 4;
+  c.log.snapshot_interval = 4;
   c.faults.process_crashes[1] = 6;
   c.faults.process_rejoins[1] = 400;
   const RunReport r = harness::run_cluster(c);
@@ -414,7 +414,7 @@ TEST(SmrCluster, TwoReplicasRejoinFromDifferentSnapshotSlots) {
   // up from whatever snapshot its serving peer holds at that moment — two
   // different base slots — and both must still converge.
   ClusterConfig c = smr_config(Algorithm::kFastPaxos, 5, 0, 20, 2, 4);
-  c.smr.snapshot_interval = 4;
+  c.log.snapshot_interval = 4;
   c.faults.process_crashes[1] = 6;
   c.faults.process_rejoins[1] = 300;
   c.faults.process_crashes[2] = 40;
@@ -434,7 +434,7 @@ TEST(SmrCluster, RejoinConfigIsValidated) {
   c.faults.process_rejoins[1] = 100;
   // No snapshot cadence: peers would have nothing to serve.
   EXPECT_THROW(harness::run_cluster(c), std::invalid_argument);
-  c.smr.snapshot_interval = 4;
+  c.log.snapshot_interval = 4;
 
   ClusterConfig before_crash = c;
   before_crash.faults.process_rejoins[1] = 4;  // rejoin precedes the crash

@@ -564,8 +564,8 @@ TEST(TxnCluster, ParticipantLeaderCrashMidTransactions) {
   // atomicity and the rollup survive the crash.
   harness::ClusterConfig c = txn_config(2, 6, 12);
   c.kv.retry_timeout = 24;
-  c.kv.batch = 1;
-  c.kv.window = 2;
+  c.log.batch = 1;
+  c.log.window = 2;
   c.faults.process_crashes[1] = 7;
   const harness::RunReport r = run_cluster(c);
   EXPECT_TRUE(r.agreement) << r.summary();
@@ -621,9 +621,9 @@ TEST(TxnCluster, CrashAndRejoinRestoresLockTable) {
   // the locks — and the run must still end lock-free and balanced.
   harness::ClusterConfig c = txn_config(2, 6, 12);
   c.kv.retry_timeout = 24;
-  c.kv.batch = 1;
-  c.kv.window = 2;
-  c.kv.snapshot_interval = 4;
+  c.log.batch = 1;
+  c.log.window = 2;
+  c.log.snapshot_interval = 4;
   c.faults.process_crashes[1] = 7;
   c.faults.process_rejoins[1] = 600;
   const harness::RunReport r = run_cluster(c);
