@@ -675,6 +675,43 @@ void check_rejoin_support(const ClusterConfig& config) {
   }
 }
 
+/// A Byzantine strategy attacks regions or slots only some runs have: NEB
+/// slots (RobustBackup, Fast & Robust), the Cheap Quorum leader region
+/// (Fast & Robust) or a KV session (KV mode on Fast & Robust). Without its
+/// target a strategy would do nothing and the run would report like
+/// kSilent — reject it up front instead.
+void check_byzantine_targets(const ClusterConfig& config) {
+  const bool fast_robust = config.algo == Algorithm::kFastRobust;
+  const bool neb = fast_robust || config.algo == Algorithm::kRobustBackup;
+  for (const auto& [p, strategy] : config.faults.byzantine) {
+    switch (strategy) {
+      case ByzantineStrategy::kSilent:
+        break;
+      case ByzantineStrategy::kNebEquivocate:
+      case ByzantineStrategy::kGarbage:
+        if (!neb) {
+          throw std::invalid_argument(
+              "Byzantine NEB equivocate / garbage need NEB regions "
+              "(RobustBackup or Fast & Robust)");
+        }
+        break;
+      case ByzantineStrategy::kCqLeaderEquivocate:
+        if (!fast_robust) {
+          throw std::invalid_argument(
+              "Byzantine CQ-leader equivocate needs Fast & Robust");
+        }
+        break;
+      case ByzantineStrategy::kForgeClientCommands:
+        if (!fast_robust || !config.kv.enabled) {
+          throw std::invalid_argument(
+              "Byzantine forge-client-commands needs KV mode on Fast & "
+              "Robust");
+        }
+        break;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Replicated modes: one or more consensus groups, each an smr::Replica per
 // correct process over the algorithm's ConsensusEngine adapter. SMR mode is
@@ -1518,6 +1555,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
 
 RunReport run_cluster(const ClusterConfig& config) {
   check_rejoin_support(config);
+  check_byzantine_targets(config);
   World w(config);
   if (config.kv.enabled) return run_kv(w, config);
   if (config.smr.enabled) return run_smr(w, config);

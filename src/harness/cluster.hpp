@@ -43,17 +43,23 @@ const char* algorithm_name(Algorithm a);
 
 /// How a Byzantine process misbehaves. Strategies act through the same
 /// capability objects as correct processes (own signer, own permissions), so
-/// they cannot do anything the model forbids.
+/// they cannot do anything the model forbids. A strategy whose target the
+/// run does not have is rejected up front (std::invalid_argument) rather
+/// than silently running as kSilent.
 enum class ByzantineStrategy {
   kSilent,             // participates in nothing
   kNebEquivocate,      // writes conflicting signed values into its own NEB
-                       // slots on different memories (the attack Alg. 2 stops)
+                       // slots on different memories (the attack Alg. 2
+                       // stops); RobustBackup / Fast & Robust only
   kCqLeaderEquivocate, // as CQ leader: plants different signed values on
-                       // different memories, then goes silent
-  kGarbage,            // floods its regions and links with malformed bytes
-  kForgeClientCommands, // KV mode, CQ leader: wins slot 0 with *well-formed*
-                        // commands under a victim client's (client, seq) —
-                        // the session-hijack attack client signing stops
+                       // different memories, then goes silent; Fast &
+                       // Robust only
+  kGarbage,            // floods its NEB regions and links with malformed
+                       // bytes; RobustBackup / Fast & Robust only
+  kForgeClientCommands, // KV mode on Fast & Robust, CQ leader: wins slot 0
+                        // with *well-formed* commands under a victim
+                        // client's (client, seq) — the session-hijack
+                        // attack client signing stops
 };
 
 struct FaultPlan {

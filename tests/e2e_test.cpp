@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/harness/cluster.hpp"
 #include "src/sim/time.hpp"
 
@@ -224,6 +226,41 @@ TEST(Byzantine, FastRobustWithFiveProcessesTwoByzantine) {
 }
 
 // ---------- Partial synchrony ----------
+
+TEST(Byzantine, StrategyWithoutATargetIsRejected) {
+  // A strategy whose target the run lacks would do nothing and the run
+  // would report exactly like a silent process; the harness must refuse.
+  // RobustBackup has NEB slots but no Cheap Quorum leader region.
+  ClusterConfig no_cq = base(Algorithm::kRobustBackup, 3, 3);
+  no_cq.faults.byzantine[1] = ByzantineStrategy::kCqLeaderEquivocate;
+  EXPECT_THROW(run_cluster(no_cq), std::invalid_argument);
+
+  // Disk Paxos (either mode) has no NEB regions to write garbage into.
+  ClusterConfig no_neb = base(Algorithm::kDiskPaxos, 3, 3);
+  no_neb.smr.enabled = true;
+  no_neb.smr.commands = 4;
+  no_neb.faults.byzantine[3] = ByzantineStrategy::kGarbage;
+  EXPECT_THROW(run_cluster(no_neb), std::invalid_argument);
+  no_neb.faults.byzantine[3] = ByzantineStrategy::kNebEquivocate;
+  EXPECT_THROW(run_cluster(no_neb), std::invalid_argument);
+
+  // Forged client commands need KV sessions on Fast & Robust.
+  ClusterConfig no_sessions = base(Algorithm::kFastRobust, 3, 3);
+  no_sessions.smr.enabled = true;
+  no_sessions.smr.commands = 4;
+  no_sessions.faults.byzantine[1] = ByzantineStrategy::kForgeClientCommands;
+  EXPECT_THROW(run_cluster(no_sessions), std::invalid_argument);
+  ClusterConfig no_cq_leader = base(Algorithm::kFastPaxos, 3, 0);
+  no_cq_leader.kv.enabled = true;
+  no_cq_leader.faults.byzantine[1] = ByzantineStrategy::kForgeClientCommands;
+  EXPECT_THROW(run_cluster(no_cq_leader), std::invalid_argument);
+
+  // Every strategy still runs where its target exists.
+  ClusterConfig ok = base(Algorithm::kFastRobust, 3, 3);
+  ok.faults.byzantine[1] = ByzantineStrategy::kCqLeaderEquivocate;
+  ok.faults.byzantine[3] = ByzantineStrategy::kGarbage;
+  EXPECT_NO_THROW(run_cluster(ok));
+}
 
 TEST(PartialSynchrony, FastRobustSafeBeforeGstLiveAfter) {
   // Slow network until GST: the fast path may abort, but agreement holds and
