@@ -1,9 +1,13 @@
-// Experiment harness: builds a full M&M cluster for one consensus instance,
-// injects faults, runs to quiescence, and checks the paper's correctness
-// properties (§3: uniform agreement / agreement, validity, termination).
+// Experiment harness: builds a full M&M cluster, injects faults, runs to
+// quiescence, and checks the paper's correctness properties (§3: uniform
+// agreement / agreement, validity, termination).
 //
 // One Cluster = one configuration of
 //   * an algorithm (the paper's three + baselines),
+//   * a mode: one consensus instance (the default), a replicated log
+//     (`smr`) or a sharded KV store (`kv`). Both replicated modes are built
+//     from the same consensus groups, shaped by one block of log knobs
+//     (`log`),
 //   * n processes and m memories (mem::Memory or the verbs backend),
 //   * a fault plan: crash times for processes/memories, Byzantine
 //     strategies, and a partial-synchrony shape (GST + pre-GST delay),
