@@ -548,6 +548,43 @@ const std::vector<Case>& cases() {
                        {40, reconfig::ChangeKind::kMerge, 1, 0});
                    return c;
                  }});
+    // Single-shot runs of every algorithm family the lines above leave
+    // unpinned in that mode: plain Paxos, Disk Paxos, Robust Backup (alone
+    // and under both of its Byzantine strategies), the verbs backend, a
+    // memory crash and pre-GST delays.
+    v.push_back({"Paxos", [] { return cluster(Algorithm::kPaxos, 3, 0, 42); }});
+    v.push_back({"DiskPaxos",
+                 [] { return cluster(Algorithm::kDiskPaxos, 3, 3, 42); }});
+    v.push_back({"RobustBackup",
+                 [] { return cluster(Algorithm::kRobustBackup, 3, 3, 42); }});
+    v.push_back({"RobustBackupNebEquivocate", [] {
+                   ClusterConfig c = cluster(Algorithm::kRobustBackup, 3, 3, 5);
+                   c.faults.byzantine[2] = ByzantineStrategy::kNebEquivocate;
+                   return c;
+                 }});
+    v.push_back({"RobustBackupGarbage", [] {
+                   ClusterConfig c = cluster(Algorithm::kRobustBackup, 3, 3, 6);
+                   c.faults.byzantine[3] = ByzantineStrategy::kGarbage;
+                   return c;
+                 }});
+    v.push_back({"VerbsBackend", [] {
+                   ClusterConfig c =
+                       cluster(Algorithm::kProtectedMemoryPaxos, 2, 3, 42);
+                   c.verbs_backend = true;
+                   return c;
+                 }});
+    v.push_back({"ProtectedMemoryPaxosMemoryCrash", [] {
+                   ClusterConfig c =
+                       cluster(Algorithm::kProtectedMemoryPaxos, 2, 3, 42);
+                   c.faults.memory_crashes[1] = 1;
+                   return c;
+                 }});
+    v.push_back({"PaxosPreGstDelays", [] {
+                   ClusterConfig c = cluster(Algorithm::kPaxos, 3, 0, 3);
+                   c.gst = 300;
+                   c.pre_gst_delay = 40;
+                   return c;
+                 }});
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       v.push_back({"SeedSweep" + std::to_string(seed), [seed] {
                      return cluster(Algorithm::kFastPaxos, 3, 0, seed);
@@ -832,6 +869,16 @@ TEST(Determinism, KvMergePlanSameSeedSameRun) {
   EXPECT_EQ(a.reconfig_epoch, 1u) << a.summary();
   EXPECT_GT(a.reconfig_keys_moved, 0u) << a.summary();
   expect_deterministic("KvMergePlan");
+}
+
+TEST(Determinism, SingleShotFamiliesSameSeedSameRun) {
+  for (const char* name :
+       {"Paxos", "DiskPaxos", "RobustBackup", "RobustBackupNebEquivocate",
+        "RobustBackupGarbage", "VerbsBackend",
+        "ProtectedMemoryPaxosMemoryCrash", "PaxosPreGstDelays"}) {
+    SCOPED_TRACE(name);
+    expect_deterministic(name);
+  }
 }
 
 /// Different seeds may legitimately differ, but every seed must be
