@@ -1598,6 +1598,7 @@ RunReport run_cluster(const ClusterConfig& config) {
             dc));
       }
       for (ProcessId p : all) {
+        if (w.cfg.faults.is_byzantine(p)) continue;
         w.disk_paxoses[p - 1]->start();
         w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
                                  w.disk_paxoses[p - 1]->propose(
@@ -1619,6 +1620,7 @@ RunReport run_cluster(const ClusterConfig& config) {
             pc));
       }
       for (ProcessId p : all) {
+        if (w.cfg.faults.is_byzantine(p)) continue;
         w.pmps[p - 1]->start();
         w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
                                  w.pmps[p - 1]->propose(
@@ -1640,6 +1642,7 @@ RunReport run_cluster(const ClusterConfig& config) {
             ac));
       }
       for (ProcessId p : all) {
+        if (w.cfg.faults.is_byzantine(p)) continue;
         w.aligneds[p - 1]->start();
         w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
                                  w.aligneds[p - 1]->propose(

@@ -225,6 +225,30 @@ TEST(Byzantine, FastRobustWithFiveProcessesTwoByzantine) {
   EXPECT_TRUE(r.termination) << r.summary();
 }
 
+TEST(Byzantine, SilentLeaderTakesNoPartInMemoryAlgorithms) {
+  // kSilent participates in nothing. A silent p1 — the first leader, which
+  // owns the memories' write permission from the start — must neither
+  // decide nor touch the memories or the network: the run costs no more
+  // than the same run with p1 crashed before it starts.
+  for (Algorithm a : {Algorithm::kDiskPaxos, Algorithm::kProtectedMemoryPaxos,
+                      Algorithm::kAlignedPaxos}) {
+    SCOPED_TRACE(algorithm_name(a));
+    ClusterConfig silent = base(a, 3, 3);
+    silent.faults.byzantine[1] = ByzantineStrategy::kSilent;
+    const RunReport r = run_cluster(silent);
+    EXPECT_TRUE(r.all_ok()) << r.summary();
+    EXPECT_FALSE(r.processes[0].decided) << r.summary();
+
+    ClusterConfig crashed = base(a, 3, 3);
+    crashed.faults.process_crashes[1] = 0;
+    const RunReport c = run_cluster(crashed);
+    EXPECT_LE(r.mem_writes, c.mem_writes)
+        << "silent: " << r.summary() << "\ncrashed: " << c.summary();
+    EXPECT_LE(r.messages_sent, c.messages_sent)
+        << "silent: " << r.summary() << "\ncrashed: " << c.summary();
+  }
+}
+
 // ---------- Partial synchrony ----------
 
 TEST(Byzantine, StrategyWithoutATargetIsRejected) {
