@@ -67,18 +67,22 @@ FastRobustEngine::FastRobustEngine(
 
 ProcessId FastRobustEngine::self() const { return signer_.id(); }
 
+FastRobustSlot FastRobustEngine::make_slot(Slot s) const {
+  const FastRobustSlotRegions& r = regions_->get(s);
+  FastRobustConfig c = config_;
+  c.cheap.prefix = slot_ns(s, cq_ns_);
+  FastRobustSlot out;
+  out.neb_slots = std::make_unique<NebSlots>(*exec_, memories_, r.neb,
+                                             slot_ns(s, neb_ns_));
+  out.process = std::make_unique<FastRobustProcess>(
+      *exec_, memories_, r.cq, *out.neb_slots, *keystore_, signer_, *omega_, c);
+  return out;
+}
+
 void FastRobustEngine::open_slot(Slot slot) {
   auto it = slots_.find(slot);
   if (it != slots_.end()) return;
-  const FastRobustSlotRegions& r = regions_->get(slot);
-  FastRobustConfig c = config_;
-  c.cheap.prefix = slot_ns(slot, cq_ns_);
-  SlotStack stack;
-  stack.neb_slots = std::make_unique<NebSlots>(*exec_, memories_, r.neb,
-                                               slot_ns(slot, neb_ns_));
-  stack.process = std::make_unique<FastRobustProcess>(
-      *exec_, memories_, r.cq, *stack.neb_slots, *keystore_, signer_, *omega_,
-      c);
+  FastRobustSlot stack = make_slot(slot);
   stack.process->start();
   slots_.emplace(slot, std::move(stack));
   note_slot(slot);

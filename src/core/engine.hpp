@@ -205,14 +205,17 @@ class ConsensusEngine {
 // decision()/decided_fast()/decided_at() and decision_gate().
 // ---------------------------------------------------------------------------
 
+/// Builds one process's protocol instance for a slot over a transport: the
+/// one construction each hub-routed protocol has. HubEngine calls it for
+/// every slot it opens, over the slot's hub sub-transport; a single-shot
+/// run (the harness) calls it once, for slot 0, over a direct transport.
+template <typename Inst>
+using MakeInstanceFn = std::function<std::unique_ptr<Inst>(Slot, Transport&)>;
+
 template <typename Inst>
 class HubEngine : public ConsensusEngine {
  public:
-  /// Builds the slot's protocol instance over its sub-transport.
-  using MakeInstanceFn =
-      std::function<std::unique_ptr<Inst>(Slot, Transport&)>;
-
-  HubEngine(sim::Executor& exec, Transport& base, MakeInstanceFn make)
+  HubEngine(sim::Executor& exec, Transport& base, MakeInstanceFn<Inst> make)
       : ConsensusEngine(exec), hub_(exec, base), make_(std::move(make)) {}
 
   ProcessId self() const override { return hub_.self(); }
@@ -243,7 +246,7 @@ class HubEngine : public ConsensusEngine {
 
  private:
   SlotTransportHub hub_;
-  MakeInstanceFn make_;
+  MakeInstanceFn<Inst> make_;
   std::map<Slot, std::unique_ptr<Inst>> slots_;
 };
 
@@ -251,74 +254,54 @@ class HubEngine : public ConsensusEngine {
 /// the Fast Paxos engine (2-delay steady state under a stable leader).
 class PaxosEngine : public HubEngine<Paxos> {
  public:
+  /// Slot s's instance (every slot alike).
+  static MakeInstanceFn<Paxos> instances(sim::Executor& exec, Omega& omega,
+                                         PaxosConfig config) {
+    return [&exec, &omega, config](Slot, Transport& t) {
+      return std::make_unique<Paxos>(exec, t, omega, config);
+    };
+  }
+
   PaxosEngine(sim::Executor& exec, Transport& base, Omega& omega,
               PaxosConfig config)
-      : HubEngine(exec, base,
-                  [&exec, &omega, config](Slot, Transport& t) {
-                    return std::make_unique<Paxos>(exec, t, omega, config);
-                  }) {}
+      : HubEngine(exec, base, instances(exec, omega, config)) {}
 };
 
-class DiskPaxosEngine : public HubEngine<DiskPaxos> {
+/// A memory-backed protocol per slot over the slot hub (Disk Paxos, PMP,
+/// Aligned Paxos): slot s runs on `regions->get(s)`, which must create the
+/// protocol's region (make_disk_region / make_pmp_region — Aligned reuses
+/// the PMP format) named slot_ns(s, ns) on every backing memory.
+template <typename Inst, typename Config>
+class MemoryEngine : public HubEngine<Inst> {
  public:
-  /// `regions->get(s)` must create make_disk_region(m, n, slot_ns(s, ns))
-  /// on every backing memory.
-  DiskPaxosEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-                  Transport& base, Omega& omega,
-                  std::shared_ptr<SlotRegions<RegionId>> regions,
-                  DiskPaxosConfig config, std::string ns = "dp")
-      : HubEngine(exec, base,
-                  [&exec, &omega, memories = std::move(memories),
-                   regions = std::move(regions), config = std::move(config),
-                   ns = std::move(ns)](Slot s, Transport& t) {
-                    DiskPaxosConfig c = config;
-                    c.prefix = slot_ns(s, ns);
-                    return std::make_unique<DiskPaxos>(
-                        exec, memories, regions->get(s), t, omega,
-                        std::move(c));
-                  }) {}
+  /// Slot s's instance, its registers named under slot_ns(s, ns).
+  static MakeInstanceFn<Inst> instances(
+      sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
+      Omega& omega, std::shared_ptr<SlotRegions<RegionId>> regions,
+      Config config, std::string ns) {
+    return [&exec, &omega, memories = std::move(memories),
+            regions = std::move(regions), config = std::move(config),
+            ns = std::move(ns)](Slot s, Transport& t) {
+      Config c = config;
+      c.prefix = slot_ns(s, ns);
+      return std::make_unique<Inst>(exec, memories, regions->get(s), t, omega,
+                                    std::move(c));
+    };
+  }
+
+  MemoryEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
+               Transport& base, Omega& omega,
+               std::shared_ptr<SlotRegions<RegionId>> regions, Config config,
+               std::string ns = Config{}.prefix)
+      : HubEngine<Inst>(exec, base,
+                        instances(exec, std::move(memories), omega,
+                                  std::move(regions), std::move(config),
+                                  std::move(ns))) {}
 };
 
-class PmpEngine : public HubEngine<ProtectedMemoryPaxos> {
- public:
-  /// `regions->get(s)` must create make_pmp_region(m, n, first_leader,
-  /// slot_ns(s, ns)) on every backing memory.
-  PmpEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-            Transport& base, Omega& omega,
-            std::shared_ptr<SlotRegions<RegionId>> regions, PmpConfig config,
-            std::string ns = "pmp")
-      : HubEngine(exec, base,
-                  [&exec, &omega, memories = std::move(memories),
-                   regions = std::move(regions), config = std::move(config),
-                   ns = std::move(ns)](Slot s, Transport& t) {
-                    PmpConfig c = config;
-                    c.prefix = slot_ns(s, ns);
-                    return std::make_unique<ProtectedMemoryPaxos>(
-                        exec, memories, regions->get(s), t, omega,
-                        std::move(c));
-                  }) {}
-};
-
-class AlignedEngine : public HubEngine<AlignedPaxos> {
- public:
-  /// `regions->get(s)` must create make_pmp_region(m, n, first_leader,
-  /// slot_ns(s, ns)) on every backing memory (Aligned reuses the PMP slot
-  /// format).
-  AlignedEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-                Transport& base, Omega& omega,
-                std::shared_ptr<SlotRegions<RegionId>> regions,
-                AlignedPaxosConfig config, std::string ns = "pmp")
-      : HubEngine(exec, base,
-                  [&exec, &omega, memories = std::move(memories),
-                   regions = std::move(regions), config = std::move(config),
-                   ns = std::move(ns)](Slot s, Transport& t) {
-                    AlignedPaxosConfig c = config;
-                    c.prefix = slot_ns(s, ns);
-                    return std::make_unique<AlignedPaxos>(
-                        exec, memories, regions->get(s), t, omega,
-                        std::move(c));
-                  }) {}
-};
+using DiskPaxosEngine = MemoryEngine<DiskPaxos, DiskPaxosConfig>;
+using PmpEngine = MemoryEngine<ProtectedMemoryPaxos, PmpConfig>;
+using AlignedEngine = MemoryEngine<AlignedPaxos, AlignedPaxosConfig>;
 
 // ---------------------------------------------------------------------------
 // Byzantine-model engines (Cheap Quorum / Fast & Robust) — all traffic runs
@@ -359,6 +342,13 @@ struct FastRobustSlotRegions {
   std::map<ProcessId, RegionId> neb;
 };
 
+/// One process's Fast & Robust stack for one slot: the process and the NEB
+/// slots its backup broadcasts through (declared first: they outlive it).
+struct FastRobustSlot {
+  std::unique_ptr<NebSlots> neb_slots;
+  std::unique_ptr<FastRobustProcess> process;
+};
+
 class FastRobustEngine : public ConsensusEngine {
  public:
   /// `regions->get(s)` must create make_cq_regions(m, n, leader,
@@ -377,17 +367,16 @@ class FastRobustEngine : public ConsensusEngine {
   void open_slot(Slot slot) override;
   sim::Task<Decision> propose(Slot slot, Bytes value) override;
 
+  /// Slot s's stack for this replica, not started: what open_slot adds, and
+  /// what a single-shot run (the harness) drives directly for slot 0.
+  FastRobustSlot make_slot(Slot s) const;
+
   /// Aggregate t-send decode accounting across this replica's slot stacks —
   /// the per-delivery suffix-only-decode counters bench_log_pipeline and the
   /// harness RunReport surface.
   trusted::TsendStats tsend_stats() const;
 
  private:
-  struct SlotStack {
-    std::unique_ptr<NebSlots> neb_slots;
-    std::unique_ptr<FastRobustProcess> process;
-  };
-
   std::vector<mem::MemoryIface*> memories_;
   std::shared_ptr<SlotRegions<FastRobustSlotRegions>> regions_;
   const crypto::KeyStore* keystore_;
@@ -396,7 +385,7 @@ class FastRobustEngine : public ConsensusEngine {
   FastRobustConfig config_;
   std::string cq_ns_;
   std::string neb_ns_;
-  std::map<Slot, SlotStack> slots_;
+  std::map<Slot, FastRobustSlot> slots_;
 };
 
 }  // namespace mnm::core

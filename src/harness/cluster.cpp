@@ -199,7 +199,7 @@ core::FastRobustConfig fast_robust_config(const ClusterConfig& cfg) {
   return fc;
 }
 
-/// Process p's message transport for one replicated group's engine.
+/// Process p's message transport for one group's engine or instance.
 using TransportFor = std::function<core::Transport&(ProcessId)>;
 /// A group's region namespace: a protocol's base prefix ("dp", "pmp", "cq",
 /// "neb") → this group's prefix for it.
@@ -239,6 +239,57 @@ struct Group {
   M& machine(ProcessId p) const {
     return static_cast<M&>(*members[p - 1].machine);
   }
+};
+
+/// One process's slot-0 protocol instance in a single-shot run, plus the NEB
+/// slots it broadcasts through when it has them (declared first: they
+/// outlive it) — one class for every algorithm's instance type.
+class SingleShot {
+ public:
+  virtual ~SingleShot() = default;
+  virtual void start() = 0;
+  /// Propose `v` and record this process's decision in `row`.
+  virtual sim::Task<void> propose(ProcessReport* row, Bytes v) = 0;
+  /// T-send decode accounting (Robust Backup, Fast & Robust); zero elsewhere.
+  virtual core::trusted::TsendStats tsend_stats() const = 0;
+};
+using SingleShotFactory = std::function<std::unique_ptr<SingleShot>(ProcessId)>;
+
+template <typename Inst>
+class SingleShotOf final : public SingleShot {
+ public:
+  SingleShotOf(sim::Executor& exec, std::unique_ptr<Inst> inst,
+               std::unique_ptr<core::NebSlots> neb_slots = nullptr)
+      : exec_(&exec),
+        neb_slots_(std::move(neb_slots)),
+        inst_(std::move(inst)) {}
+
+  void start() override { inst_->start(); }
+
+  sim::Task<void> propose(ProcessReport* row, Bytes v) override {
+    auto out = co_await inst_->propose(std::move(v));
+    row->decided = true;
+    if constexpr (std::is_same_v<decltype(out), core::FastRobustOutcome>) {
+      row->decision = util::to_string(out.value);
+      row->decided_at = out.decided_at;
+      row->fast_path = out.fast;
+    } else {
+      row->decision = util::to_string(out);
+      row->decided_at = exec_->now();
+    }
+  }
+
+  core::trusted::TsendStats tsend_stats() const override {
+    if constexpr (requires { inst_->tsend_stats(); }) {
+      return inst_->tsend_stats();
+    }
+    return {};
+  }
+
+ private:
+  sim::Executor* exec_;
+  std::unique_ptr<core::NebSlots> neb_slots_;
+  std::unique_ptr<Inst> inst_;
 };
 
 /// Everything one run owns. The executor is declared first (constructed
@@ -405,16 +456,9 @@ struct World {
   std::vector<sim::Time> crash_at_;       // index p - 1; infinity = never
   std::vector<sim::Time> rejoin_at_;      // index p - 1; infinity = never
 
-  // Algorithm objects (only the relevant vectors are populated).
   std::vector<std::unique_ptr<core::NetTransport>> transports;  // index p - 1
   std::vector<std::unique_ptr<core::TransportMux>> muxes;  // KV: 1 per process
-  std::vector<std::unique_ptr<core::Paxos>> paxoses;
-  std::vector<std::unique_ptr<core::DiskPaxos>> disk_paxoses;
-  std::vector<std::unique_ptr<core::ProtectedMemoryPaxos>> pmps;
-  std::vector<std::unique_ptr<core::AlignedPaxos>> aligneds;
-  std::vector<std::unique_ptr<core::NebSlots>> neb_slots;
-  std::vector<std::unique_ptr<core::RobustBackup>> robust_backups;
-  std::vector<std::unique_ptr<core::FastRobustProcess>> fast_robusts;
+  std::vector<std::unique_ptr<SingleShot>> single_shots;  // single-shot mode
 
   // SMR / KV modes: every replicated group — SMR's one log, or the KV data
   // shards followed by the config group under reconfiguration. Declared
@@ -450,25 +494,6 @@ struct World {
   std::string neb_prefix = "neb";
   std::string cq_prefix = "cq";
 };
-
-// --- Driver coroutines (parameters, not captures). ---
-
-sim::Task<void> drive_bytes(sim::Executor* exec, ProcessReport* row,
-                            sim::Task<Bytes> proposal) {
-  const Bytes v = co_await std::move(proposal);
-  row->decided = true;
-  row->decision = util::to_string(v);
-  row->decided_at = exec->now();
-}
-
-sim::Task<void> drive_fast_robust(ProcessReport* row,
-                                  sim::Task<core::FastRobustOutcome> proposal) {
-  const core::FastRobustOutcome out = co_await std::move(proposal);
-  row->decided = true;
-  row->decision = util::to_string(out.value);
-  row->decided_at = out.decided_at;
-  row->fast_path = out.fast;
-}
 
 // --- Byzantine strategies. ---
 
@@ -713,21 +738,61 @@ void check_byzantine_targets(const ClusterConfig& config) {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated modes: one or more consensus groups, each an smr::Replica per
-// correct process over the algorithm's ConsensusEngine adapter. SMR mode is
-// a single group over direct transports and un-prefixed regions; KV mode
-// runs one group per data shard (plus the config group under
-// reconfiguration) over TransportMux subs and "g<i>/" / "cfg/" regions.
+// Protocol wiring, shared by every mode. Each algorithm's case defines its
+// slot regions, config and per-slot instance maker once; replicated groups
+// wrap the maker in the algorithm's engine, a single-shot run drives slot
+// 0's instance directly.
 // ---------------------------------------------------------------------------
 
-/// The one engine-construction switch for every replicated group: returns
-/// the factory for process p's engine, whose message traffic runs over
-/// `transport(p)` and whose memory traffic uses a SlotRegions pool named
-/// under `ns`. SMR's group, KV's data shards and the config group differ
-/// only in those two arguments. `byz_target` points the Byzantine region
-/// attacks at this group's slot 0.
-EngineFactory engine_factory(World& w, TransportFor transport,
-                             const Namespace& ns, bool byz_target) {
+/// Process p's engine for a replicated group (null without an engine
+/// adapter) and its slot-0 instance for a single-shot run.
+struct Wiring {
+  EngineFactory engine;
+  SingleShotFactory single_shot;
+};
+
+/// A hub-routed protocol whose process-p instance maker is `maker(p)`, over
+/// `transport(p)`: per slot through the slot hub, or slot 0 directly.
+template <typename Inst>
+Wiring hub_wiring(World& w, TransportFor transport,
+                  std::function<core::MakeInstanceFn<Inst>(ProcessId)> maker) {
+  return {[&w, transport, maker](ProcessId p) {
+            core::Transport& t = transport(p);
+            return std::make_unique<core::HubEngine<Inst>>(w.exec, t, maker(p));
+          },
+          [&w, transport, maker](ProcessId p) {
+            core::Transport& t = transport(p);
+            return std::make_unique<SingleShotOf<Inst>>(w.exec, maker(p)(0, t));
+          }};
+}
+
+/// A memory-backed hub protocol: slot s's region is
+/// `make_region(memory, slot_ns(s, prefix))` on every backing memory.
+template <typename Inst, typename Config, typename MakeRegion>
+Wiring memory_wiring(World& w, TransportFor transport, std::string prefix,
+                     Config config, MakeRegion make_region) {
+  auto pool = std::make_shared<core::SlotRegions<RegionId>>(
+      [wp = &w, prefix, make_region](Slot s) {
+        RegionId region = 0;
+        wp->for_each_backing([&](auto& m) {
+          region = make_region(m, core::slot_ns(s, prefix));
+        });
+        return region;
+      });
+  return hub_wiring<Inst>(
+      w, std::move(transport), [&w, pool, config, prefix](ProcessId p) {
+        return core::MemoryEngine<Inst, Config>::instances(
+            w.exec, w.view_ptrs[p - 1], *w.omega, pool, config, prefix);
+      });
+}
+
+/// The harness's one protocol-wiring switch. Message traffic runs over
+/// `transport(p)` and memory traffic uses SlotRegions pools named under
+/// `ns`: single-shot runs, SMR's group, KV's data shards and the config
+/// group differ only in those two arguments. `byz_target` points the
+/// Byzantine region attacks at this wiring's slot 0.
+Wiring wire(World& w, TransportFor transport, const Namespace& ns,
+            bool byz_target) {
   const std::size_t n = w.cfg.n;
   switch (w.cfg.algo) {
     case Algorithm::kPaxos:
@@ -735,77 +800,61 @@ EngineFactory engine_factory(World& w, TransportFor transport,
       core::PaxosConfig pc;
       pc.n = n;
       pc.skip_phase1_for_p1 = (w.cfg.algo == Algorithm::kFastPaxos);
-      return [&w, transport, pc](ProcessId p) {
-        core::Transport& t = transport(p);
-        return std::make_unique<core::PaxosEngine>(w.exec, t, *w.omega, pc);
-      };
+      return hub_wiring<core::Paxos>(
+          w, std::move(transport), [&w, pc](ProcessId) {
+            return core::PaxosEngine::instances(w.exec, *w.omega, pc);
+          });
     }
 
     case Algorithm::kDiskPaxos: {
-      const std::string prefix = ns("dp");
-      auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n, prefix](Slot s) {
-            RegionId region = 0;
-            wp->for_each_backing([&](auto& m) {
-              region = core::make_disk_region(m, n, core::slot_ns(s, prefix));
-            });
-            return region;
-          });
       core::DiskPaxosConfig dc;
       dc.n = n;
-      return [&w, transport, pool, dc, prefix](ProcessId p) {
-        core::Transport& t = transport(p);
-        return std::make_unique<core::DiskPaxosEngine>(
-            w.exec, w.view_ptrs[p - 1], t, *w.omega, pool, dc, prefix);
-      };
+      return memory_wiring<core::DiskPaxos>(
+          w, std::move(transport), ns("dp"), dc,
+          [n](auto& m, const std::string& prefix) {
+            return core::make_disk_region(m, n, prefix);
+          });
     }
 
     case Algorithm::kProtectedMemoryPaxos:
     case Algorithm::kAlignedPaxos: {
-      const std::string prefix = ns("pmp");
-      auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n, prefix](Slot s) {
-            RegionId region = 0;
-            wp->for_each_backing([&](auto& m) {
-              region = core::make_pmp_region(m, n, kLeaderP1,
-                                             core::slot_ns(s, prefix));
-            });
-            return region;
-          });
+      const auto pmp_region = [n](auto& m, const std::string& prefix) {
+        return core::make_pmp_region(m, n, kLeaderP1, prefix);
+      };
       if (w.cfg.algo == Algorithm::kAlignedPaxos) {
         core::AlignedPaxosConfig ac;
         ac.n = n;
-        return [&w, transport, pool, ac, prefix](ProcessId p) {
-          core::Transport& t = transport(p);
-          return std::make_unique<core::AlignedEngine>(
-              w.exec, w.view_ptrs[p - 1], t, *w.omega, pool, ac, prefix);
-        };
+        return memory_wiring<core::AlignedPaxos>(w, std::move(transport),
+                                                 ns("pmp"), ac, pmp_region);
       }
       core::PmpConfig pc;
       pc.n = n;
-      return [&w, transport, pool, pc, prefix](ProcessId p) {
-        core::Transport& t = transport(p);
-        return std::make_unique<core::PmpEngine>(
-            w.exec, w.view_ptrs[p - 1], t, *w.omega, pool, pc, prefix);
-      };
+      return memory_wiring<core::ProtectedMemoryPaxos>(
+          w, std::move(transport), ns("pmp"), pc, pmp_region);
     }
 
+    case Algorithm::kRobustBackup:
     case Algorithm::kFastRobust: {
+      // Robust Backup is Fast & Robust's backup path alone: NEB regions, no
+      // Cheap Quorum ones.
+      const bool cq = (w.cfg.algo == Algorithm::kFastRobust);
       const std::string cq_prefix = ns("cq");
       const std::string neb_prefix = ns("neb");
       auto pool = std::make_shared<core::SlotRegions<core::FastRobustSlotRegions>>(
-          [wp = &w, n, cq_prefix, neb_prefix](Slot s) {
+          [wp = &w, n, cq, cq_prefix, neb_prefix](Slot s) {
             core::FastRobustSlotRegions out;
             wp->for_each_backing([&](auto& m) {
-              out.cq = core::make_cq_regions(m, n, kLeaderP1,
-                                             core::slot_ns(s, cq_prefix));
+              if (cq) {
+                out.cq = core::make_cq_regions(m, n, kLeaderP1,
+                                               core::slot_ns(s, cq_prefix));
+              }
               out.neb = core::make_neb_regions(
                   m, n, core::slot_ns(s, neb_prefix));
             });
             return out;
           });
       if (byz_target) {
-        // Byzantine region attacks target this group's first slot.
+        // Byzantine region attacks target this wiring's first slot.
         w.neb_prefix = core::slot_ns(0, neb_prefix);
         w.cq_prefix = core::slot_ns(0, cq_prefix);
         if (!w.cfg.faults.byzantine.empty()) {
@@ -814,22 +863,122 @@ EngineFactory engine_factory(World& w, TransportFor transport,
           w.cq_region_leader_ = r0.cq.leader;
         }
       }
+      const core::FastRobustConfig fc = fast_robust_config(w.cfg);
 
-      return [&w, pool, fc = fast_robust_config(w.cfg), cq_prefix,
-              neb_prefix](ProcessId p) {
+      if (!cq) {
+        // Single-shot only: replicated modes reject Robust Backup up front.
+        core::RobustBackupConfig rc;
+        rc.n = n;
+        rc.neb = fc.neb;
+        rc.paxos = fc.paxos;
+        return {nullptr, [&w, pool, rc, neb_prefix](ProcessId p) {
+                  auto neb = std::make_unique<core::NebSlots>(
+                      w.exec, w.view_ptrs[p - 1], pool->get(0).neb,
+                      core::slot_ns(0, neb_prefix));
+                  auto rb = std::make_unique<core::RobustBackup>(
+                      w.exec, *neb, w.keystore, w.signers[p - 1], *w.omega, rc);
+                  return std::make_unique<SingleShotOf<core::RobustBackup>>(
+                      w.exec, std::move(rb), std::move(neb));
+                }};
+      }
+      const auto engine = [&w, pool, fc, cq_prefix, neb_prefix](ProcessId p) {
         return std::make_unique<core::FastRobustEngine>(
             w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
             *w.omega, fc, cq_prefix, neb_prefix);
       };
+      return {engine, [&w, engine](ProcessId p) {
+                core::FastRobustSlot slot = engine(p)->make_slot(0);
+                return std::make_unique<SingleShotOf<core::FastRobustProcess>>(
+                    w.exec, std::move(slot.process), std::move(slot.neb_slots));
+              }};
     }
-
-    case Algorithm::kRobustBackup:
-      break;
   }
-  throw std::invalid_argument(
-      "SMR/KV mode: RobustBackup has no ConsensusEngine adapter (use "
-      "FastRobust, whose backup path is RobustBackup(Paxos))");
+  throw std::invalid_argument("unknown algorithm");
 }
+
+/// Process p's direct transport on the algorithm's tag, opened anew on each
+/// call (a rejoining SMR engine reopens it): what SMR engines and
+/// single-shot instances run over, having the network to themselves.
+TransportFor direct_transport(World& w) {
+  w.transports.resize(w.cfg.n);
+  return [&w, tag = net_tag(w.cfg.algo)](ProcessId p) -> core::Transport& {
+    w.transports[p - 1] =
+        std::make_unique<core::NetTransport>(w.exec, w.network, p, tag);
+    return *w.transports[p - 1];
+  };
+}
+
+/// Single-shot and SMR mode's region namespace: the protocol's base prefix.
+std::string base_ns(const char* base) { return base; }
+
+// ---------------------------------------------------------------------------
+// Single-shot mode: slot 0 of the same wiring, one instance per process
+// over its direct transport, each correct process proposing its input.
+// ---------------------------------------------------------------------------
+
+RunReport run_single_shot(World& w, const ClusterConfig& config) {
+  const auto all = all_processes(config.n);
+  const SingleShotFactory make =
+      wire(w, direct_transport(w), base_ns, /*byz_target=*/true).single_shot;
+  // Every instance exists before any starts; then, in process order, each
+  // non-Byzantine one starts and proposes.
+  for (ProcessId p : all) w.single_shots.push_back(make(p));
+  for (ProcessId p : all) {
+    if (config.faults.is_byzantine(p)) continue;
+    SingleShot& instance = *w.single_shots[p - 1];
+    instance.start();
+    w.exec.spawn(instance.propose(&w.reports[p - 1],
+                                  util::to_bytes(input_of(config, p))));
+  }
+  // ---- Byzantine strategies. ----
+  spawn_byzantine(w, config);
+
+  // ---- Run. ----
+  w.exec.run_until([&] { return w.done(); }, config.horizon);
+
+  // ---- Report. ----
+  RunReport report;
+  report.processes = w.reports;
+
+  std::set<std::string> inputs;
+  for (ProcessId p : all) inputs.insert(input_of(config, p));
+
+  std::optional<std::string> decided;
+  for (ProcessId p : all) {
+    const auto& row = w.reports[p - 1];
+    if (row.byzantine) continue;
+    if (row.decided) {
+      report.first_decision_delay =
+          std::min(report.first_decision_delay, row.decided_at);
+      report.first_correct_decision_delay =
+          std::min(report.first_correct_decision_delay, row.decided_at);
+      if (decided.has_value() && *decided != row.decision) {
+        report.agreement = false;
+      }
+      decided = decided.has_value() ? decided : row.decision;
+      if (!inputs.contains(row.decision)) report.validity = false;
+    } else if (w.correct(p)) {
+      report.termination = false;
+    }
+  }
+  report.decided_value = decided;
+
+  fill_resource_counters(report, w);
+  for (const auto& s : w.single_shots) {
+    add_tsend_stats(report, s->tsend_stats());
+  }
+  finish_tsend_stats(report);
+  return report;
+}
+
+
+// ---------------------------------------------------------------------------
+// Replicated modes: one or more consensus groups, each an smr::Replica per
+// correct process over the algorithm's ConsensusEngine adapter. SMR mode is
+// a single group over direct transports and un-prefixed regions; KV mode
+// runs one group per data shard (plus the config group under
+// reconfiguration) over TransportMux subs and "g<i>/" / "cfg/" regions.
+// ---------------------------------------------------------------------------
 
 /// The smr::ReplicaConfig every replicated group starts from: the shared
 /// log knobs, plus all-propose mode where replicas cannot rely on a leader.
@@ -1041,18 +1190,9 @@ RunReport run_smr(World& w, const ClusterConfig& config) {
   const auto all = all_processes(n);
 
   // ---- One engine per process, each over its own direct transport. ----
-  const net::MsgType tag = net_tag(config.algo);
-  w.transports.resize(n);
   Group& group = w.groups.emplace_back();
-  group.make_engine = engine_factory(
-      w,
-      [&w, tag](ProcessId p) -> core::Transport& {
-        w.transports[p - 1] =
-            std::make_unique<core::NetTransport>(w.exec, w.network, p, tag);
-        return *w.transports[p - 1];
-      },
-      [](const char* base) { return std::string(base); },
-      /*byz_target=*/true);
+  group.make_engine =
+      wire(w, direct_transport(w), base_ns, /*byz_target=*/true).engine;
   group.make_machine = [] { return std::make_unique<RecordingSm>(); };
   build_engines(w, group);
 
@@ -1237,10 +1377,10 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
     Group& shard = w.groups[g];
     shard.label = "g" + std::to_string(g);
     shard.rc = rc;
-    shard.make_engine = engine_factory(
+    shard.make_engine = wire(
         w, mux_sub(w, static_cast<std::uint8_t>(g)),
         [g](const char* base) { return kv::shard_ns(g, base); },
-        /*byz_target=*/g == 0);
+        /*byz_target=*/g == 0).engine;
     shard.make_machine = [&w, g,
                           reconfig]() -> std::unique_ptr<smr::StateMachine> {
       auto m = std::make_unique<kv::StateMachine>();
@@ -1270,10 +1410,10 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
     cfg.rc.batch = 1;
     cfg.rc.log.serve_ranges = false;
     cfg.rc.tune.enabled = false;
-    cfg.make_engine = engine_factory(
+    cfg.make_engine = wire(
         w, mux_sub(w, static_cast<std::uint8_t>(groups)),
         [](const char* base) { return kv::config_ns(base); },
-        /*byz_target=*/false);
+        /*byz_target=*/false).engine;
     cfg.make_machine = [&w]() -> std::unique_ptr<smr::StateMachine> {
       auto m = std::make_unique<reconfig::TableMachine>(w.initial_table);
       // A rejoiner's sink re-attaches too: replayed old epochs are dropped
@@ -1554,195 +1694,18 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
 }  // namespace
 
 RunReport run_cluster(const ClusterConfig& config) {
+  if ((config.smr.enabled || config.kv.enabled) &&
+      config.algo == Algorithm::kRobustBackup) {
+    throw std::invalid_argument(
+        "SMR/KV mode: RobustBackup has no ConsensusEngine adapter (use "
+        "FastRobust, whose backup path is RobustBackup(Paxos))");
+  }
   check_rejoin_support(config);
   check_byzantine_targets(config);
   World w(config);
   if (config.kv.enabled) return run_kv(w, config);
   if (config.smr.enabled) return run_smr(w, config);
-  const std::size_t n = config.n;
-  const auto all = all_processes(n);
-
-  // ---- Wire the chosen algorithm. ----
-  switch (config.algo) {
-    case Algorithm::kPaxos:
-    case Algorithm::kFastPaxos: {
-      core::PaxosConfig pc;
-      pc.n = n;
-      pc.skip_phase1_for_p1 = (config.algo == Algorithm::kFastPaxos);
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, net_tag(config.algo)));
-        w.paxoses.push_back(
-            std::make_unique<core::Paxos>(w.exec, *w.transports.back(), *w.omega, pc));
-      }
-      for (ProcessId p : all) {
-        if (w.cfg.faults.is_byzantine(p)) continue;  // crash-model algorithms
-        w.paxoses[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.paxoses[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kDiskPaxos: {
-      RegionId region = 0;
-      w.for_each_backing([&](auto& m) { region = core::make_disk_region(m, n); });
-      core::DiskPaxosConfig dc;
-      dc.n = n;
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, net_tag(config.algo)));
-        w.disk_paxoses.push_back(std::make_unique<core::DiskPaxos>(
-            w.exec, w.view_ptrs[p - 1], region, *w.transports.back(), *w.omega,
-            dc));
-      }
-      for (ProcessId p : all) {
-        if (w.cfg.faults.is_byzantine(p)) continue;
-        w.disk_paxoses[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.disk_paxoses[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kProtectedMemoryPaxos: {
-      RegionId region = 0;
-      w.for_each_backing([&](auto& m) { region = core::make_pmp_region(m, n); });
-      core::PmpConfig pc;
-      pc.n = n;
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, net_tag(config.algo)));
-        w.pmps.push_back(std::make_unique<core::ProtectedMemoryPaxos>(
-            w.exec, w.view_ptrs[p - 1], region, *w.transports.back(), *w.omega,
-            pc));
-      }
-      for (ProcessId p : all) {
-        if (w.cfg.faults.is_byzantine(p)) continue;
-        w.pmps[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.pmps[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kAlignedPaxos: {
-      RegionId region = 0;
-      w.for_each_backing([&](auto& m) { region = core::make_pmp_region(m, n); });
-      core::AlignedPaxosConfig ac;
-      ac.n = n;
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, net_tag(config.algo)));
-        w.aligneds.push_back(std::make_unique<core::AlignedPaxos>(
-            w.exec, w.view_ptrs[p - 1], region, *w.transports.back(), *w.omega,
-            ac));
-      }
-      for (ProcessId p : all) {
-        if (w.cfg.faults.is_byzantine(p)) continue;
-        w.aligneds[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.aligneds[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kRobustBackup: {
-      std::map<ProcessId, RegionId> neb_regions;
-      w.for_each_backing([&](auto& m) { neb_regions = core::make_neb_regions(m, n); });
-      w.neb_region_ids = neb_regions;
-      const core::FastRobustConfig fc = fast_robust_config(config);
-      core::RobustBackupConfig rc;
-      rc.n = n;
-      rc.neb = fc.neb;
-      rc.paxos = fc.paxos;
-      for (ProcessId p : all) {
-        w.neb_slots.push_back(std::make_unique<core::NebSlots>(
-            w.exec, w.view_ptrs[p - 1], neb_regions));
-        w.robust_backups.push_back(std::make_unique<core::RobustBackup>(
-            w.exec, *w.neb_slots.back(), w.keystore, w.signers[p - 1], *w.omega, rc));
-      }
-      for (ProcessId p : all) {
-        if (w.cfg.faults.is_byzantine(p)) continue;
-        w.robust_backups[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.robust_backups[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kFastRobust: {
-      core::CheapQuorumRegions cq_regions;
-      std::map<ProcessId, RegionId> neb_regions;
-      w.for_each_backing([&](auto& m) {
-        cq_regions = core::make_cq_regions(m, n);
-        neb_regions = core::make_neb_regions(m, n);
-      });
-      w.neb_region_ids = neb_regions;
-      w.cq_region_leader_ = cq_regions.leader;
-
-      const core::FastRobustConfig fc = fast_robust_config(config);
-      for (ProcessId p : all) {
-        w.neb_slots.push_back(std::make_unique<core::NebSlots>(
-            w.exec, w.view_ptrs[p - 1], neb_regions));
-        w.fast_robusts.push_back(std::make_unique<core::FastRobustProcess>(
-            w.exec, w.view_ptrs[p - 1], cq_regions, *w.neb_slots.back(),
-            w.keystore, w.signers[p - 1], *w.omega, fc));
-      }
-      for (ProcessId p : all) {
-        if (w.cfg.faults.is_byzantine(p)) continue;
-        w.fast_robusts[p - 1]->start();
-        w.exec.spawn(drive_fast_robust(&w.reports[p - 1],
-                                       w.fast_robusts[p - 1]->propose(
-                                           util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-  }
-
-  // ---- Byzantine strategies. ----
-  spawn_byzantine(w, config);
-
-  // ---- Run. ----
-  w.exec.run_until([&] { return w.done(); }, config.horizon);
-
-  // ---- Report. ----
-  RunReport report;
-  report.processes = w.reports;
-
-  std::set<std::string> inputs;
-  for (ProcessId p : all) inputs.insert(input_of(config, p));
-
-  std::optional<std::string> decided;
-  for (ProcessId p : all) {
-    const auto& row = w.reports[p - 1];
-    if (row.byzantine) continue;
-    if (row.decided) {
-      report.first_decision_delay =
-          std::min(report.first_decision_delay, row.decided_at);
-      report.first_correct_decision_delay =
-          std::min(report.first_correct_decision_delay, row.decided_at);
-      if (decided.has_value() && *decided != row.decision) {
-        report.agreement = false;
-      }
-      decided = decided.has_value() ? decided : row.decision;
-      if (!inputs.contains(row.decision)) report.validity = false;
-    } else if (w.correct(p)) {
-      report.termination = false;
-    }
-  }
-  report.decided_value = decided;
-
-  fill_resource_counters(report, w);
-  for (const auto& rb : w.robust_backups) add_tsend_stats(report, rb->tsend_stats());
-  for (const auto& fr : w.fast_robusts) add_tsend_stats(report, fr->tsend_stats());
-  finish_tsend_stats(report);
-  return report;
+  return run_single_shot(w, config);
 }
 
 }  // namespace mnm::harness

@@ -249,6 +249,17 @@ TEST(Byzantine, SilentLeaderTakesNoPartInMemoryAlgorithms) {
   }
 }
 
+TEST(Modes, RobustBackupRunsSingleShotOnly) {
+  // Robust Backup has no ConsensusEngine adapter (Fast & Robust's engine
+  // carries it as the backup path): both replicated modes refuse it.
+  ClusterConfig smr = base(Algorithm::kRobustBackup, 3, 3);
+  smr.smr.enabled = true;
+  EXPECT_THROW(run_cluster(smr), std::invalid_argument);
+  ClusterConfig kv = base(Algorithm::kRobustBackup, 3, 3);
+  kv.kv.enabled = true;
+  EXPECT_THROW(run_cluster(kv), std::invalid_argument);
+}
+
 // ---------- Partial synchrony ----------
 
 TEST(Byzantine, StrategyWithoutATargetIsRejected) {
