@@ -144,14 +144,14 @@ std::vector<util::Bytes> route_keys() {
   return keys;
 }
 
-/// Static hash routing: the pre-reconfig ShardMap modulo — the cost floor
-/// the versioned table is measured against.
+/// Static hash routing: the bare hash modulo the shard count — the cost
+/// floor the versioned table is measured against.
 void bm_shard_map_route(benchmark::State& state) {
-  const kv::ShardMap map(static_cast<std::size_t>(state.range(0)));
+  const auto shards = static_cast<std::size_t>(state.range(0));
   const std::vector<util::Bytes> keys = route_keys();
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    for (const util::Bytes& k : keys) sink += map.shard_of(k);
+    for (const util::Bytes& k : keys) sink += kv::key_hash(k) % shards;
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * kBatch);
@@ -166,8 +166,7 @@ BENCHMARK(bm_shard_map_route)->Arg(1)->Arg(8);
 void bm_shard_table_route(benchmark::State& state) {
   // state.range(0) groups after three splits' worth of doubling: the bucket
   // array is wider than the group count, as it is after live resharding.
-  kv::ShardTable table = kv::ShardTable::initial(
-      static_cast<std::size_t>(state.range(0)));
+  kv::ShardTable table(static_cast<std::size_t>(state.range(0)));
   while (table.buckets.size() < 8 * table.groups) {
     const std::size_t b = table.buckets.size();
     table.buckets.resize(2 * b);
@@ -176,7 +175,7 @@ void bm_shard_table_route(benchmark::State& state) {
   const std::vector<util::Bytes> keys = route_keys();
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    for (const util::Bytes& k : keys) sink += kv::shard_of(table, k);
+    for (const util::Bytes& k : keys) sink += table.shard_of(k);
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * kBatch);

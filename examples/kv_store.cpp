@@ -87,7 +87,7 @@ int main() {
       backends[g].machines.push_back(machines.back().get());
     }
   }
-  kv::Router router(exec, omega, kv::ShardMap(kShards), std::move(backends),
+  kv::Router router(exec, omega, kv::ShardTable(kShards), std::move(backends),
                     kv::RouterConfig{});
   for (auto& m : muxes) m->start();
   for (auto& e : engines) e->start();

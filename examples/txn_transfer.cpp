@@ -119,7 +119,7 @@ int main() {
       backends[g].machines.push_back(machines.back().get());
     }
   }
-  kv::Router router(exec, omega, kv::ShardMap(kShards), std::move(backends),
+  kv::Router router(exec, omega, kv::ShardTable(kShards), std::move(backends),
                     kv::RouterConfig{});
   txn::Coordinator coord(router);
   for (auto& m : muxes) m->start();
@@ -128,18 +128,18 @@ int main() {
 
   // Pick two account keys that hash to different shards, so the transfer
   // genuinely crosses logs.
-  kv::ShardMap map(kShards);
+  const kv::ShardTable table(kShards);
   std::string alice = "acct-alice", bob;
   for (int i = 0;; ++i) {
     bob = "acct-bob" + std::to_string(i);
-    if (map.shard_of(util::to_bytes(bob)) !=
-        map.shard_of(util::to_bytes(alice))) {
+    if (table.shard_of(util::to_bytes(bob)) !=
+        table.shard_of(util::to_bytes(alice))) {
       break;
     }
   }
   std::printf("accounts: %s (shard %zu), %s (shard %zu)\n", alice.c_str(),
-              map.shard_of(util::to_bytes(alice)), bob.c_str(),
-              map.shard_of(util::to_bytes(bob)));
+              table.shard_of(util::to_bytes(alice)), bob.c_str(),
+              table.shard_of(util::to_bytes(bob)));
 
   // Act 1: seed the accounts.
   const kv::ClientId c1 = router.register_client();

@@ -1398,7 +1398,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
     build_engines(w, shard);
   }
   if (reconfig) {
-    w.initial_table = kv::ShardTable::initial(shards);
+    w.initial_table = kv::ShardTable(shards);
     w.table_view =
         std::make_unique<reconfig::TableView>(w.exec, w.initial_table);
     // Config group: one TableMachine replica per correct process. Config
@@ -1449,7 +1449,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   // the replica processes registered above).
   router_cfg.keystore = config.kv.sign_commands ? &w.keystore : nullptr;
   w.kv_router = std::make_unique<kv::Router>(
-      w.exec, *w.omega, kv::ShardMap(shards), std::move(backends), router_cfg,
+      w.exec, *w.omega, kv::ShardTable(shards), std::move(backends), router_cfg,
       w.table_view.get());
   if (reconfig) {
     std::vector<smr::Replica*> cfg_backend;

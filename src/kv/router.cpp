@@ -7,22 +7,20 @@
 
 namespace mnm::kv {
 
-Router::Router(sim::Executor& exec, core::Omega& omega, ShardMap map,
+Router::Router(sim::Executor& exec, core::Omega& omega, ShardTable table,
                std::vector<ShardBackend> shards, RouterConfig config,
                reconfig::TableView* view)
     : exec_(&exec),
       omega_(&omega),
-      map_(map),
-      view_(view),
+      own_table_(std::move(table)),
+      table_(view != nullptr ? &view->table() : &own_table_),
       shards_(std::move(shards)),
       config_(config),
       flush_armed_(shards_.size(), 0),
       shard_latency_(shards_.size(), 0) {
-  // Static routing needs exactly one backend per shard; live routing only
-  // needs every group the table can ever name to have a backend (split
-  // targets exist from the start, idle until their first install).
-  assert((view_ != nullptr ? map_.shards() <= shards_.size()
-                           : map_.shards() == shards_.size()) &&
+  // Every group the table names needs a backend (split targets exist from
+  // the start, idle until their first install).
+  assert(table_->groups <= shards_.size() &&
          "kv::Router: one backend per shard");
   config_.retry_timeout = std::max<sim::Time>(1, config_.retry_timeout);
   config_.retry_timeout_cap =
@@ -104,11 +102,6 @@ ClientId Router::register_admin_client() {
     }
   }
   return id;
-}
-
-std::size_t Router::route(util::ByteView key) const {
-  if (view_ != nullptr) return shard_of(view_->table(), key);
-  return map_.shard_of(key);
 }
 
 void Router::deliver(ClientId client, std::uint64_t seq, const Reply& reply) {
@@ -265,7 +258,8 @@ sim::Task<Reply> Router::run_op(ClientId client, Command cmd,
   } else {
     cmd.seq = ++s.next_seq;
   }
-  std::size_t shard = pinned.has_value() ? *pinned : route(cmd.key);
+  std::size_t shard =
+      pinned.has_value() ? *pinned : table_->shard_of(cmd.key);
   Bytes wire = encode_wire(s, cmd, shard);
   s.wait_seq = cmd.seq;
   s.reply.reset();
@@ -287,7 +281,7 @@ sim::Task<Reply> Router::run_op(ClientId client, Command cmd,
       // so sealed buckets back off like timeouts.
       s.bounced = false;
       ++bounces_;
-      const std::size_t next = route(cmd.key);
+      const std::size_t next = table_->shard_of(cmd.key);
       if (next != shard) {
         shard = next;
         wire = encode_wire(s, cmd, shard);
@@ -317,7 +311,7 @@ sim::Task<Reply> Router::run_op(ClientId client, Command cmd,
       ++retries_;
       ++attempt;
       if (!pinned.has_value()) {
-        const std::size_t next = route(cmd.key);
+        const std::size_t next = table_->shard_of(cmd.key);
         if (next != shard) {
           shard = next;
           wire = encode_wire(s, cmd, shard);

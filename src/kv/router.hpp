@@ -38,16 +38,16 @@
 //
 // Reconfiguration (src/reconfig/): when the Router is built with a
 // reconfig::TableView, routing consults the newest decided kv::ShardTable
-// instead of the static ShardMap. A `Status::kWrongEpoch` reply is not an
-// outcome — it means the key's bucket is sealed (mid-migration) or already
-// moved: the session marks itself bounced, re-reads the live table, and
-// re-submits the same (client, seq) command to the new owner — re-signed
-// for that shard's log in signed mode, since signatures bind the target
-// group. If the route hasn't
-// changed yet (the destination has not opened the bucket), the bounce
-// backs off like a timeout so sealed buckets aren't storm-retried. The
-// Migrator's own admin sessions (register_admin_client) are exempt: for
-// them kWrongEpoch is a real, resolved outcome (a stale seal/install).
+// instead of the Router's own epoch-0 table. A `Status::kWrongEpoch` reply
+// is not an outcome — it means the key's bucket is sealed (mid-migration)
+// or already moved: the session marks itself bounced, re-reads the live
+// table, and re-submits the same (client, seq) command to the new owner —
+// re-signed for that shard's log in signed mode, since signatures bind the
+// target group. If the route hasn't changed yet (the destination has not
+// opened the bucket), the bounce backs off like a timeout so sealed
+// buckets aren't storm-retried. The Migrator's own admin sessions
+// (register_admin_client) are exempt: for them kWrongEpoch is a real,
+// resolved outcome (a stale seal/install).
 //
 // When a shard's leader replica is auto-tuning (smr::Tuner), the flush task
 // also consults Replica::flush_hold(): while the open batch is short of the
@@ -108,10 +108,10 @@ struct RouterConfig {
 class Router {
  public:
   /// Wires itself as the reply sink of every machine in `shards`. With a
-  /// TableView the live table routes (and backends beyond the initial
-  /// shard count are legal — they are split targets); without one, the
-  /// static map routes, exactly as before reconfiguration existed.
-  Router(sim::Executor& exec, core::Omega& omega, ShardMap map,
+  /// TableView the view's live table routes (and backends beyond the
+  /// initial shard count are legal — they are split targets); without one,
+  /// `table` routes, exactly as before reconfiguration existed.
+  Router(sim::Executor& exec, core::Omega& omega, ShardTable table,
          std::vector<ShardBackend> shards, RouterConfig config,
          reconfig::TableView* view = nullptr);
 
@@ -122,8 +122,9 @@ class Router {
   ClientId register_admin_client();
 
   std::size_t shards() const { return shards_.size(); }
-  const ShardMap& shard_map() const { return map_; }
-  const reconfig::TableView* view() const { return view_; }
+  /// The routing table in effect: the view's live table, else the
+  /// Router's own.
+  const ShardTable& shard_map() const { return *table_; }
 
   /// Stamp `cmd` with the client's next seq, route it by key, replicate it,
   /// and resolve with the committed reply. Retries (same seq) on timeout —
@@ -194,9 +195,6 @@ class Router {
   void deliver(ClientId client, std::uint64_t seq, const Reply& reply);
   void submit(std::size_t shard, const Bytes& wire);
   static sim::Task<void> flush_soon(Router* self, std::size_t shard);
-  /// The key's current shard: live table when a view is wired, static map
-  /// otherwise.
-  std::size_t route(util::ByteView key) const;
   /// The shared retry loop behind execute()/execute_on()/execute_replay().
   /// `pinned` fixes the shard (admin ops); otherwise the key re-routes on
   /// bounce/timeout. `forced_seq` replays an explicit seq (txn recovery)
@@ -226,8 +224,8 @@ class Router {
 
   sim::Executor* exec_;
   core::Omega* omega_;
-  ShardMap map_;
-  reconfig::TableView* view_;
+  ShardTable own_table_;     // routes when no TableView is wired
+  const ShardTable* table_;  // the view's live table, else &own_table_
   std::vector<ShardBackend> shards_;
   RouterConfig config_;
   std::deque<ClientSession> sessions_;  // stable addresses; index = id - 1

@@ -7,15 +7,13 @@
 
 namespace mnm::kv {
 
-ShardTable ShardTable::initial(std::size_t shards) {
-  ShardTable t;
+ShardTable::ShardTable(std::size_t shards) {
   const std::size_t n = std::clamp<std::size_t>(shards, 1, kMaxTableGroups);
-  t.groups = static_cast<std::uint32_t>(n);
-  t.buckets.resize(n);
+  groups = static_cast<std::uint32_t>(n);
+  buckets.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    t.buckets[i] = static_cast<std::uint32_t>(i);
+    buckets[i] = static_cast<std::uint32_t>(i);
   }
-  return t;
 }
 
 bool valid_shard_table(const ShardTable& t) {

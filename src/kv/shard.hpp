@@ -1,25 +1,21 @@
-// kv::ShardMap / kv::ShardTable — routing policy of the sharded store.
+// kv::ShardTable — routing policy of the sharded store.
 //
-// Two routing models share one hash (FNV-1a over the key bytes):
-//
-//  * ShardMap — static hash partitioning, shard i owns every key whose hash
-//    maps to i mod N. The frozen-at-construction model every pre-reconfig
-//    run keeps, byte-for-byte.
-//  * ShardTable — the *versioned* model behind dynamic reconfiguration
-//    (src/reconfig/): an epoch-stamped bucket→group table. A key hashes to
-//    bucket h mod B and the table names the owning consensus group. The
-//    initial table with N groups has N buckets owned identity-style, so it
-//    routes exactly like ShardMap(N); a split doubles the bucket array
-//    (new[i] = old[i mod B], which provably preserves routing: (h mod 2B)
-//    mod B == h mod B) and then reassigns half of the source group's
-//    buckets — one more hash bit — to the destination group.
+// An epoch-stamped bucket→group table: a key hashes (FNV-1a over its
+// bytes) to bucket h mod B and the table names the owning consensus group.
+// The table for N shards has N buckets owned identity-style — static hash
+// partitioning, shard i owns every key with h mod N == i — and is what
+// every run without reconfiguration routes by, for its whole life. Dynamic
+// reconfiguration (src/reconfig/) moves to later epochs: a split doubles
+// the bucket array (new[i] = old[i mod B], which provably preserves
+// routing: (h mod 2B) mod B == h mod B) and then reassigns half of the
+// source group's buckets — one more hash bit — to the destination group.
 //
 // Each shard/group is one independent consensus group (its own engine
 // instances per replica, its own SlotTransportHub slot namespace over a
 // TransportMux sub, its own slot-prefixed memory regions via shard_ns), so
 // any of the seven paper protocols can back any shard and groups commit in
-// parallel. Everything routing-side funnels through shard_of so the policy
-// has exactly one home; ShardTable lookups take the table by const
+// parallel. Everything routing-side funnels through ShardTable::shard_of so
+// the policy has exactly one home; lookups take the table by const
 // reference — the table is never copied on the per-op hot path.
 //
 // The ShardTable codec is strict and total (tables travel through the
@@ -40,23 +36,10 @@
 
 namespace mnm::kv {
 
-class ShardMap {
- public:
-  explicit ShardMap(std::size_t shards) : shards_(shards == 0 ? 1 : shards) {}
-
-  std::size_t shards() const { return shards_; }
-
-  static std::uint64_t key_hash(util::ByteView key) {
-    return util::fnv1a(util::kFnvOffset, key);
-  }
-
-  std::size_t shard_of(util::ByteView key) const {
-    return static_cast<std::size_t>(key_hash(key) % shards_);
-  }
-
- private:
-  std::size_t shards_;
-};
+/// The routing hash of a key: FNV-1a over its bytes.
+inline std::uint64_t key_hash(util::ByteView key) {
+  return util::fnv1a(util::kFnvOffset, key);
+}
 
 /// Caps on the versioned table: bucket counts double on single-bucket
 /// splits, so 4096 buckets supports 12 doublings from one shard; groups are
@@ -77,29 +60,27 @@ struct ShardTable {
   /// buckets[i] = owning group of every key with key_hash(key) % size == i.
   std::vector<std::uint32_t> buckets;
 
-  /// The table that routes exactly like ShardMap(shards): `shards` buckets,
-  /// bucket i owned by group i, epoch 0.
-  static ShardTable initial(std::size_t shards);
+  ShardTable() = default;
+  /// Static hash partitioning over `shards` groups (clamped to [1,
+  /// kMaxTableGroups]): bucket i owned by group i, epoch 0.
+  explicit ShardTable(std::size_t shards);
+
+  /// Owning group of `key` — THE routing policy point (buckets must be
+  /// non-empty).
+  std::size_t shard_of(util::ByteView key) const {
+    return buckets[key_hash(key) % buckets.size()];
+  }
 
   bool operator==(const ShardTable&) const = default;
 };
 
+/// The static routing type's old name, kept only because the end-to-end
+/// benchmark (perfbench/, which may not change) still spells kv::ShardMap.
+using ShardMap = ShardTable;
+
 /// Structural validity: at least one bucket, counts within caps, every
 /// bucket names a group < groups. Decoders reject tables that fail this.
 bool valid_shard_table(const ShardTable& t);
-
-/// Hash bucket of `key` under `t` (t.buckets must be non-empty).
-inline std::size_t bucket_of(const ShardTable& t, util::ByteView key) {
-  return static_cast<std::size_t>(ShardMap::key_hash(key) %
-                                  t.buckets.size());
-}
-
-/// Owning group of `key` under `t` — THE routing policy point of the
-/// versioned model. Takes the table by const reference: no copies on the
-/// per-op hot path.
-inline std::size_t shard_of(const ShardTable& t, util::ByteView key) {
-  return static_cast<std::size_t>(t.buckets[bucket_of(t, key)]);
-}
 
 /// Deterministic fingerprint of a table (epoch + groups + bucket array),
 /// FNV-1a folded — what the config-group agreement check and the

@@ -123,7 +123,7 @@ void StateMachine::apply(Slot, util::ByteView command) {
     if (sink_) sink_(c->client, c->seq, reply);
     return;
   }
-  if (partitioned_ && !owns_bucket(ShardMap::key_hash(c->key) % owned_.size())) {
+  if (partitioned_ && !owns_bucket(key_hash(c->key) % owned_.size())) {
     // Sealed or not-yet-installed bucket: bounce. The session is NOT
     // touched — the client re-routes and the same seq must apply fresh,
     // exactly once, at the owner.
@@ -388,7 +388,7 @@ Reply StateMachine::apply_admin(const Command& c) {
       std::vector<std::uint8_t> drop(owned_.size(), 0);
       for (const std::uint32_t b : spec->buckets) drop[b] = 1;
       for (auto it = store_.begin(); it != store_.end();) {
-        if (drop[ShardMap::key_hash(it->first) % owned_.size()] != 0) {
+        if (drop[key_hash(it->first) % owned_.size()] != 0) {
           it = store_.erase(it);
           ++keys_purged_;
         } else {
@@ -398,7 +398,7 @@ Reply StateMachine::apply_admin(const Command& c) {
       // Sealed-away locks were drained with the range (export_range) and now
       // live at the destination — drop the local copies with their pairs.
       for (auto it = locks_.begin(); it != locks_.end();) {
-        if (drop[ShardMap::key_hash(it->first) % owned_.size()] != 0) {
+        if (drop[key_hash(it->first) % owned_.size()] != 0) {
           it = locks_.erase(it);
         } else {
           ++it;
@@ -433,7 +433,7 @@ Bytes StateMachine::export_range(util::ByteView request) const {
 Records StateMachine::export_records(
     const std::vector<std::uint8_t>& take) const {
   const auto taken = [&](const Bytes& key) {
-    return take.empty() || take[ShardMap::key_hash(key) % take.size()] != 0;
+    return take.empty() || take[key_hash(key) % take.size()] != 0;
   };
   Records out;
   for (const auto& [k, v] : store_) {

@@ -166,7 +166,7 @@ TEST(KvStateMachine, StoreHashCoversStoreAndSessions) {
 }
 
 TEST(KvShardMap, StableAndReasonablySpread) {
-  const ShardMap map(8);
+  const ShardTable map(8);
   std::map<std::size_t, std::size_t> counts;
   for (int i = 0; i < 256; ++i) {
     const Bytes key = util::to_bytes("key-" + std::to_string(i));
@@ -181,7 +181,7 @@ TEST(KvShardMap, StableAndReasonablySpread) {
     EXPECT_GE(count, 12u) << "shard " << shard << " nearly empty";
   }
   // One shard degenerates to everything-on-0.
-  const ShardMap one(1);
+  const ShardTable one(1);
   EXPECT_EQ(one.shard_of(util::to_bytes("anything")), 0u);
 }
 
@@ -579,7 +579,7 @@ TEST(KvStateMachine, SnapshotWithEverySectionRestoresExactlyAndFailsClosed) {
   const auto key_in = [](std::uint32_t bucket, const std::string& prefix) {
     for (int i = 0;; ++i) {
       const std::string k = prefix + std::to_string(i);
-      if (ShardMap::key_hash(to_bytes(k)) % 4 == bucket) return k;
+      if (kv::key_hash(to_bytes(k)) % 4 == bucket) return k;
     }
   };
   const std::string moved = key_in(2, "k"), moved_lock = key_in(2, "lock");
@@ -699,7 +699,7 @@ TEST(KvRouter, RetryDeadlineSaturatesInsteadOfOverflowing) {
   rc.retry_timeout = 1;
   rc.adaptive_retry = false;
   rc.retry_timeout_cap = sim::kTimeInfinity;
-  Router router(exec, omega, ShardMap(1), std::move(backends), rc);
+  Router router(exec, omega, ShardTable(1), std::move(backends), rc);
   const ClientId client = router.register_client();
   bool done = false;
   exec.spawn(drive_one_put(&router, client, &done));

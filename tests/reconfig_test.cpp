@@ -36,7 +36,6 @@ using kv::Op;
 using kv::RangeSnapshot;
 using kv::RangeSpec;
 using kv::Reply;
-using kv::ShardMap;
 using kv::ShardTable;
 using kv::Status;
 using reconfig::ChangeKind;
@@ -57,25 +56,25 @@ Bytes key_bytes(std::size_t i) {
 Bytes key_in_bucket(std::size_t buckets, std::size_t want) {
   for (std::size_t i = 0;; ++i) {
     const Bytes k = key_bytes(i);
-    if (ShardMap::key_hash(k) % buckets == want) return k;
+    if (kv::key_hash(k) % buckets == want) return k;
   }
 }
 
 TEST(ShardTableUnit, InitialRoutesExactlyLikeShardMap) {
   for (const std::size_t shards : {1u, 2u, 3u, 4u, 8u}) {
-    const ShardTable t = ShardTable::initial(shards);
-    const ShardMap map(shards);
+    // Static hash partitioning: exactly the hash modulo the shard count.
+    const ShardTable t(shards);
     ASSERT_EQ(t.buckets.size(), shards);
     for (std::size_t i = 0; i < 64; ++i) {
       const Bytes k = key_bytes(i);
-      EXPECT_EQ(kv::shard_of(t, k), map.shard_of(k))
+      EXPECT_EQ(t.shard_of(k), kv::key_hash(k) % shards)
           << "key-" << i << " with " << shards << " shards";
     }
   }
 }
 
 TEST(ShardTableUnit, SingleBucketSplitDoublesAndPreservesRouting) {
-  const ShardTable t0 = ShardTable::initial(1);
+  const ShardTable t0 = ShardTable(1);
   const ConfigChange c{ChangeKind::kSplit, 0, 0, 1};
   const std::optional<ShardTable> t1 = apply_change(t0, c);
   ASSERT_TRUE(t1.has_value());
@@ -88,8 +87,8 @@ TEST(ShardTableUnit, SingleBucketSplitDoublesAndPreservesRouting) {
   // bucket 0 of the doubled table stay home.
   for (std::size_t i = 0; i < 64; ++i) {
     const Bytes k = key_bytes(i);
-    const std::size_t owner = kv::shard_of(*t1, k);
-    EXPECT_EQ(owner, ShardMap::key_hash(k) % 2);
+    const std::size_t owner = t1->shard_of(k);
+    EXPECT_EQ(owner, kv::key_hash(k) % 2);
   }
 }
 
@@ -97,7 +96,7 @@ TEST(ShardTableUnit, SplitOfMultiBucketGroupMovesUpperHalf) {
   // 4 groups, 4 buckets; split g1 into brand-new g4. g1 owns one bucket, so
   // the array doubles to 8 and exactly one of g1's two doubled buckets
   // (the upper) moves.
-  const ShardTable t0 = ShardTable::initial(4);
+  const ShardTable t0 = ShardTable(4);
   const std::optional<ShardTable> t1 =
       apply_change(t0, ConfigChange{ChangeKind::kSplit, 0, 1, 4});
   ASSERT_TRUE(t1.has_value());
@@ -112,7 +111,7 @@ TEST(ShardTableUnit, SplitOfMultiBucketGroupMovesUpperHalf) {
 }
 
 TEST(ShardTableUnit, MergeMovesEveryBucketAndEmptiesSource) {
-  const ShardTable t0 = ShardTable::initial(2);
+  const ShardTable t0 = ShardTable(2);
   const std::optional<ShardTable> t1 =
       apply_change(t0, ConfigChange{ChangeKind::kMerge, 0, 1, 0});
   ASSERT_TRUE(t1.has_value());
@@ -128,7 +127,7 @@ TEST(ShardTableUnit, MergeMovesEveryBucketAndEmptiesSource) {
 }
 
 TEST(ShardTableUnit, StaleAndInvalidChangesRejectDeterministically) {
-  const ShardTable t = ShardTable::initial(2);
+  const ShardTable t = ShardTable(2);
   // CAS miss: base_epoch must match exactly — the duplicate-re-propose rule.
   EXPECT_FALSE(
       apply_change(t, ConfigChange{ChangeKind::kSplit, 1, 0, 1}).has_value());
@@ -156,7 +155,7 @@ TEST(ShardTableUnit, StaleAndInvalidChangesRejectDeterministically) {
 
 TEST(ShardTableUnit, CodecsRoundTripAndRejectMalformed) {
   const ShardTable t =
-      *apply_change(ShardTable::initial(2), ConfigChange{ChangeKind::kSplit,
+      *apply_change(ShardTable(2), ConfigChange{ChangeKind::kSplit,
                                                          0, 0, 2});
   const Bytes tb = kv::encode_shard_table(t);
   ASSERT_TRUE(kv::decode_shard_table(tb).has_value());
@@ -202,7 +201,7 @@ TEST(ShardTableUnit, CodecsRoundTripAndRejectMalformed) {
 // ---------------------------------------------------------------------------
 
 TEST(TableMachineUnit, CasApplyCountsAndSinksOncePerEpoch) {
-  reconfig::TableMachine m(ShardTable::initial(1));
+  reconfig::TableMachine m(ShardTable(1));
   std::size_t sunk = 0;
   m.set_table_sink([&](const ShardTable& t, const ConfigChange&) {
     ++sunk;
@@ -225,18 +224,18 @@ TEST(TableMachineUnit, CasApplyCountsAndSinksOncePerEpoch) {
 }
 
 TEST(TableMachineUnit, SnapshotRestoresExactlyOrFailsClosed) {
-  reconfig::TableMachine a(ShardTable::initial(2));
+  reconfig::TableMachine a(ShardTable(2));
   a.apply(0, encode_config_change(ConfigChange{ChangeKind::kSplit, 0, 0, 2}));
   a.apply(1, util::to_bytes("junk"));
   const Bytes snap = a.snapshot();
 
-  reconfig::TableMachine b(ShardTable::initial(2));
+  reconfig::TableMachine b(ShardTable(2));
   ASSERT_TRUE(b.restore(snap));
   EXPECT_EQ(b.state_hash(), a.state_hash());
   EXPECT_EQ(b.table(), a.table());
   EXPECT_EQ(b.malformed(), 1u);
 
-  reconfig::TableMachine c(ShardTable::initial(2));
+  reconfig::TableMachine c(ShardTable(2));
   Bytes forged = snap;
   forged[forged.size() - 3] ^= 0x01;  // inside the trailing digest
   EXPECT_FALSE(c.restore(forged));
@@ -269,7 +268,7 @@ Bytes admin_cmd(Op op, std::uint64_t seq, Bytes payload) {
 }
 
 TEST(StateMachineUnit, SealExportInstallPurgeMovesRangeExactlyOnce) {
-  const ShardTable initial = ShardTable::initial(1);
+  const ShardTable initial = ShardTable(1);
   kv::StateMachine src, dst;
   src.configure_partition(0, initial);
   dst.configure_partition(1, initial);

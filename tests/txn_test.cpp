@@ -66,7 +66,7 @@ Bytes decision_bytes(txn::TxnId txn) {
 Bytes key_in_bucket(std::size_t buckets, std::size_t want) {
   for (std::size_t i = 0;; ++i) {
     const Bytes k = to_bytes("key-" + std::to_string(i));
-    if (kv::ShardMap::key_hash(k) % buckets == want) return k;
+    if (kv::key_hash(k) % buckets == want) return k;
   }
 }
 
@@ -381,7 +381,7 @@ TEST(TxnStateMachine, LocksMigrateWithTheDrainedRange) {
   // A transaction straddling a live reshard: the prepare lands at the
   // source, the range (lock included) drains to the destination, and the
   // decision — routed by key to the new owner — must still decide there.
-  const kv::ShardTable initial = kv::ShardTable::initial(1);
+  const kv::ShardTable initial = kv::ShardTable(1);
   Machine src, dst;
   src.sm.configure_partition(0, initial);
   dst.sm.configure_partition(1, initial);
