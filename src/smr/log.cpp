@@ -82,12 +82,6 @@ void Log::halt() {
   range_signal_.bump();
 }
 
-void Log::enqueue(Bytes payload) {
-  pending_.push_back(Pending{std::move(payload), {}, exec_->now()});
-  pending_cmds_ += 1;  // opaque group: count unknown, one unit
-  pending_signal_.bump();
-}
-
 void Log::enqueue_commands(std::vector<Bytes> commands) {
   if (commands.empty()) return;
   pending_cmds_ += commands.size();
@@ -112,17 +106,15 @@ Log::Pending Log::take_pending_or_noop() {
   if (pending_.empty()) return Pending{Bytes{}, {}, exec_->now()};
   Pending p = std::move(pending_.front());
   pending_.pop_front();
-  pending_cmds_ -= p.cmds.empty() ? 1 : p.cmds.size();
-  // Continuous batching: merge whole raw-command groups queued behind the
-  // head into one slot payload, up to the tuner's live batch. Only the
-  // not-yet-encoded raw path merges (opaque enqueue() payloads and
-  // re-queued groups — whose wire bytes must stay identical on retry —
-  // stay one group = one slot), so fixed-config behavior is untouched.
-  if (tuner_ != nullptr && tuner_->enabled() && !p.cmds.empty() &&
-      p.payload.empty()) {
+  pending_cmds_ -= p.cmds.size();
+  // Continuous batching: merge whole command groups queued behind the head
+  // into one slot payload, up to the tuner's live batch. Only never-
+  // launched groups merge (a re-queued group's wire bytes must stay
+  // identical on retry, so it stays one group = one slot), and only with
+  // tuning on, so fixed-config behavior is untouched.
+  if (tuner_ != nullptr && tuner_->enabled() && p.payload.empty()) {
     const std::size_t live_batch = tuner_->batch();
-    while (!pending_.empty() && !pending_.front().cmds.empty() &&
-           pending_.front().payload.empty() &&
+    while (!pending_.empty() && pending_.front().payload.empty() &&
            p.cmds.size() < live_batch &&
            p.cmds.size() + pending_.front().cmds.size() <= live_batch) {
       Pending next = std::move(pending_.front());
@@ -137,7 +129,7 @@ Log::Pending Log::take_pending_or_noop() {
 }
 
 void Log::requeue_front(Pending group) {
-  pending_cmds_ += group.cmds.empty() ? 1 : group.cmds.size();
+  pending_cmds_ += group.cmds.size();
   pending_.push_front(std::move(group));
   pending_signal_.bump();
 }
@@ -154,7 +146,7 @@ void Log::launch(Slot slot, Pending p, bool retry) {
 }
 
 sim::Task<void> Log::drive(Slot slot, Pending group, bool retry) {
-  // Raw groups encode here, at launch; pre-encoded payloads pass through.
+  // Groups encode here, at first launch; a re-queued group keeps its bytes.
   // The group survives the move into propose(): it detects a lost slot, and
   // is what the loss/abort paths re-queue.
   if (group.payload.empty() && !group.cmds.empty()) {

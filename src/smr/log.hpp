@@ -176,12 +176,10 @@ class Log {
   /// engine.start().
   void start();
 
-  /// Queue a batch payload (encode_batch) for replication.
-  void enqueue(Bytes payload);
-  /// Queue a group of raw commands. Unlike enqueue(), the group is encoded
-  /// at *launch* time, so the pump may merge consecutive groups into one
-  /// slot payload up to the tuner's live batch size — the continuous-
-  /// batching path auto-tuned Replicas feed.
+  /// Queue a group of commands for replication. The group is encoded
+  /// (encode_batch) at *launch* time, so with an enabled tuner the pump may
+  /// merge consecutive groups into one slot payload up to its live batch
+  /// size — continuous batching.
   void enqueue_commands(std::vector<Bytes> commands);
 
   /// Attach the live window/batch controller (owned by the Replica; may be
@@ -195,9 +193,7 @@ class Log {
   }
 
   std::size_t pending() const { return pending_.size(); }
-  /// Commands queued behind the window (opaque enqueue() payloads count as
-  /// one command each — exact on the enqueue_commands() path the tuner
-  /// actually observes).
+  /// Commands queued behind the window.
   std::uint64_t pending_commands() const { return pending_cmds_; }
   /// Slots applied to the state machine (the contiguous prefix).
   Slot applied_len() const { return applied_len_; }
@@ -249,8 +245,8 @@ class Log {
 
  private:
   struct Pending {
-    Bytes payload;               // pre-encoded batch; empty on the raw path
-    std::vector<Bytes> cmds;     // raw commands (enqueue_commands path)
+    Bytes payload;            // encode_batch(cmds) once launched; empty before
+    std::vector<Bytes> cmds;  // empty only for the no-op filler
     sim::Time enqueued_at = 0;
   };
 

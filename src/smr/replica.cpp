@@ -96,13 +96,9 @@ void Replica::submit(Bytes command) {
 
 void Replica::flush() {
   if (open_batch_.empty()) return;
-  if (tuner_.enabled()) {
-    // Raw-group path: the pump encodes at launch and may merge consecutive
-    // groups up to the live batch — flushing early costs no batching power.
-    log_.enqueue_commands(std::move(open_batch_));
-  } else {
-    log_.enqueue(encode_batch(open_batch_));
-  }
+  // The pump encodes at launch; with tuning on it may merge consecutive
+  // groups up to the live batch — flushing early costs no batching power.
+  log_.enqueue_commands(std::move(open_batch_));
   open_batch_.clear();
 }
 
