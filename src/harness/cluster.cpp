@@ -1,6 +1,5 @@
 #include "src/harness/cluster.hpp"
 
-#include <cassert>
 #include <charconv>
 #include <functional>
 #include <sstream>
@@ -867,10 +866,7 @@ Wiring wire(World& w, TransportFor transport, const Namespace& ns,
 
       if (!cq) {
         // Single-shot only: replicated modes reject Robust Backup up front.
-        core::RobustBackupConfig rc;
-        rc.n = n;
-        rc.neb = fc.neb;
-        rc.paxos = fc.paxos;
+        const core::RobustBackupConfig rc{n, fc.neb, fc.paxos};
         return {nullptr, [&w, pool, rc, neb_prefix](ProcessId p) {
                   auto neb = std::make_unique<core::NebSlots>(
                       w.exec, w.view_ptrs[p - 1], pool->get(0).neb,
