@@ -245,6 +245,9 @@ struct Group {
 /// outlive it) — one class for every algorithm's instance type.
 class SingleShot {
  public:
+  SingleShot() = default;
+  SingleShot(const SingleShot&) = delete;
+  SingleShot& operator=(const SingleShot&) = delete;
   virtual ~SingleShot() = default;
   virtual void start() = 0;
   /// Propose `v` and record this process's decision in `row`.
@@ -486,12 +489,12 @@ struct World {
   std::vector<std::unique_ptr<core::TransportMux>> retired_muxes;
   std::vector<Member> retired_members;
 
-  // Region ids + name prefixes used by Byzantine strategies (SMR mode
-  // points them at slot 0's regions, KV mode at shard 0 / slot 0's).
+  // Region ids + name prefixes used by Byzantine strategies: wire() points
+  // them at slot 0's regions (shard 0's in KV mode).
   std::map<ProcessId, RegionId> neb_region_ids;
   RegionId cq_region_leader_ = 0;
-  std::string neb_prefix = "neb";
-  std::string cq_prefix = "cq";
+  std::string neb_prefix;
+  std::string cq_prefix;
 };
 
 // --- Byzantine strategies. ---

@@ -7,7 +7,9 @@
 //   * a mode: one consensus instance (the default), a replicated log
 //     (`smr`) or a sharded KV store (`kv`). Both replicated modes are built
 //     from the same consensus groups, shaped by one block of log knobs
-//     (`log`),
+//     (`log`). All three share one per-algorithm wiring: a single-shot run
+//     is slot 0 of the instances the replicated groups run per slot,
+//     driven directly over the algorithm's own transport,
 //   * n processes and m memories (mem::Memory or the verbs backend),
 //   * a fault plan: crash times for processes/memories, Byzantine
 //     strategies, and a partial-synchrony shape (GST + pre-GST delay),
