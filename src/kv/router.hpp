@@ -114,6 +114,9 @@ class Router {
   Router(sim::Executor& exec, core::Omega& omega, ShardTable table,
          std::vector<ShardBackend> shards, RouterConfig config,
          reconfig::TableView* view = nullptr);
+  // Machines' reply sinks hold `this`, and table_ may point at own_table_.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
 
   /// Allocate a client session (dense ids, 1-based).
   ClientId register_client();
