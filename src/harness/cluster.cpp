@@ -240,9 +240,8 @@ struct Group {
   }
 };
 
-/// One process's slot-0 protocol instance in a single-shot run, plus the NEB
-/// slots it broadcasts through when it has them (declared first: they
-/// outlive it) — one class for every algorithm's instance type.
+/// One process's slot-0 protocol instance in a single-shot run: what the
+/// single-shot driver needs of every algorithm's instance type.
 class SingleShot {
  public:
   SingleShot() = default;
@@ -257,6 +256,8 @@ class SingleShot {
 };
 using SingleShotFactory = std::function<std::unique_ptr<SingleShot>(ProcessId)>;
 
+/// SingleShot over an `Inst`, plus the NEB slots it broadcasts through when
+/// it has them (declared first: they outlive it).
 template <typename Inst>
 class SingleShotOf final : public SingleShot {
  public:
