@@ -240,8 +240,8 @@ struct Group {
   }
 };
 
-/// One process's slot-0 protocol instance in a single-shot run: what the
-/// single-shot driver needs of every algorithm's instance type.
+/// One process's slot-0 protocol instance in a single-shot run: what
+/// run_single_shot needs of every algorithm's instance type.
 class SingleShot {
  public:
   SingleShot() = default;
