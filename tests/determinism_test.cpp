@@ -590,6 +590,43 @@ const std::vector<Case>& cases() {
                      return cluster(Algorithm::kFastPaxos, 3, 0, seed);
                    }});
     }
+    // Phase 1 and value adoption of every Paxos family. In each leader
+    // crash, p1 crashes after its value reached a quorum (its phase-2 writes
+    // were acked, or its accepts were delivered), so the next leader's
+    // phase 1 must adopt value-1 rather than propose its own.
+    v.push_back({"DiskPaxosLeaderCrash", [] {
+                   ClusterConfig c = cluster(Algorithm::kDiskPaxos, 3, 3, 42);
+                   c.faults.process_crashes[1] = 2;
+                   return c;
+                 }});
+    v.push_back({"ProtectedMemoryPaxosLeaderCrash", [] {
+                   ClusterConfig c =
+                       cluster(Algorithm::kProtectedMemoryPaxos, 2, 3, 42);
+                   c.faults.process_crashes[1] = 2;
+                   return c;
+                 }});
+    // A majority of the memories fails after p1 seized them: Aligned Paxos
+    // decides with the processes plus the one memory left.
+    v.push_back({"AlignedPaxosMemoryMajorityCrash", [] {
+                   ClusterConfig c = cluster(Algorithm::kAlignedPaxos, 3, 3, 42);
+                   c.faults.memory_crashes[1] = 3;
+                   c.faults.memory_crashes[2] = 3;
+                   return c;
+                 }});
+    v.push_back({"PaxosLeaderCrashAfterAccept", [] {
+                   ClusterConfig c = cluster(Algorithm::kPaxos, 3, 0, 42);
+                   c.faults.process_crashes[1] = 4;
+                   return c;
+                 }});
+    // The end-to-end failover shape (n = 2): p2 seizes every memory and runs
+    // phase 1 on the slots p1 left open.
+    v.push_back({"KvProtectedMemoryPaxosLeaderCrash", [] {
+                   ClusterConfig c = kv(
+                       cluster(Algorithm::kProtectedMemoryPaxos, 2, 3, 42), 2,
+                       4, 6);
+                   c.faults.process_crashes[1] = 7;
+                   return c;
+                 }});
     return v;
   }();
   return all;
@@ -879,6 +916,24 @@ TEST(Determinism, SingleShotFamiliesSameSeedSameRun) {
     SCOPED_TRACE(name);
     expect_deterministic(name);
   }
+}
+
+TEST(Determinism, LeaderCrashPhaseOneSameSeedSameRun) {
+  // p2 proposes value-2; deciding value-1 means its phase 1 adopted the
+  // value p1 left at a quorum.
+  for (const char* name :
+       {"DiskPaxosLeaderCrash", "ProtectedMemoryPaxosLeaderCrash",
+        "PaxosLeaderCrashAfterAccept"}) {
+    SCOPED_TRACE(name);
+    const RunReport a = run_cluster(config(name));
+    EXPECT_TRUE(a.processes[1].decided) << a.summary();
+    EXPECT_EQ(a.processes[1].decision, "value-1") << a.summary();
+    expect_deterministic(name);
+  }
+  const RunReport kv = run_cluster(config("KvProtectedMemoryPaxosLeaderCrash"));
+  EXPECT_GT(kv.permission_changes, 0u) << kv.summary();
+  expect_deterministic("KvProtectedMemoryPaxosLeaderCrash");
+  expect_deterministic("AlignedPaxosMemoryMajorityCrash");
 }
 
 /// Different seeds may legitimately differ, but every seed must be
