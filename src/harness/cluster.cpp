@@ -346,9 +346,6 @@ struct World {
       if (it != cfg.faults.process_crashes.end()) crash_at_[p - 1] = it->second;
     }
     for (const auto& [p, at] : cfg.faults.process_rejoins) {
-      if (p < 1 || p > static_cast<ProcessId>(cfg.n)) {
-        throw std::invalid_argument("process_rejoins: unknown process");
-      }
       if (cfg.faults.is_byzantine(p)) {
         throw std::invalid_argument(
             "process_rejoins: Byzantine processes do not rejoin");
@@ -396,7 +393,6 @@ struct World {
     }
     for (const auto& [mid, t] : cfg.faults.memory_crashes) {
       exec.call_at(t, [this, mid = mid] {
-        if (mid == 0 || mid > memories.size()) return;
         if (this->cfg.verbs_backend) {
           verbs_backing[mid - 1]->device().crash();
         } else {
@@ -701,6 +697,24 @@ void check_rejoin_support(const ClusterConfig& config) {
         "crash-and-rejoin needs log.snapshot_interval > 0 (peers must have a "
         "snapshot to serve)");
   }
+}
+
+/// Every id a fault plan names must exist: processes are 1..n, memories
+/// 1..m. The World indexes its per-process and per-memory tables by them.
+void check_fault_ids(const ClusterConfig& config) {
+  const auto check = [](const auto& plan, std::size_t count,
+                        const char* what) {
+    for (const auto& entry : plan) {
+      if (entry.first < 1 || entry.first > count) {
+        throw std::invalid_argument(std::string(what) + ": unknown id " +
+                                    std::to_string(entry.first));
+      }
+    }
+  };
+  check(config.faults.process_crashes, config.n, "process_crashes");
+  check(config.faults.process_rejoins, config.n, "process_rejoins");
+  check(config.faults.byzantine, config.n, "byzantine");
+  check(config.faults.memory_crashes, config.m, "memory_crashes");
 }
 
 /// A Byzantine strategy attacks regions or slots only some runs have: NEB
@@ -1700,6 +1714,7 @@ RunReport run_cluster(const ClusterConfig& config) {
         "SMR/KV mode: RobustBackup has no ConsensusEngine adapter (use "
         "FastRobust, whose backup path is RobustBackup(Paxos))");
   }
+  check_fault_ids(config);
   check_rejoin_support(config);
   check_byzantine_targets(config);
   World w(config);

@@ -297,6 +297,35 @@ TEST(Byzantine, StrategyWithoutATargetIsRejected) {
   EXPECT_NO_THROW(run_cluster(ok));
 }
 
+TEST(Faults, UnknownIdsAreRejected) {
+  // Memories are 1..m: an id outside that range used to be ignored, so the
+  // run silently tested a different plan than the one asked for.
+  ClusterConfig mem = base(Algorithm::kProtectedMemoryPaxos, 2, 3);
+  mem.faults.memory_crashes[4] = 0;
+  EXPECT_THROW(run_cluster(mem), std::invalid_argument);
+  mem.faults.memory_crashes.clear();
+  mem.faults.memory_crashes[0] = 0;
+  EXPECT_THROW(run_cluster(mem), std::invalid_argument);
+
+  // Processes are 1..n: an id outside it indexed the per-process tables
+  // out of bounds.
+  ClusterConfig crash = base(Algorithm::kPaxos, 3, 0);
+  crash.faults.process_crashes[4] = 5;
+  EXPECT_THROW(run_cluster(crash), std::invalid_argument);
+  crash.faults.process_crashes.clear();
+  crash.faults.process_crashes[0] = 5;
+  EXPECT_THROW(run_cluster(crash), std::invalid_argument);
+  ClusterConfig byz = base(Algorithm::kFastRobust, 3, 3);
+  byz.faults.byzantine[7] = ByzantineStrategy::kSilent;
+  EXPECT_THROW(run_cluster(byz), std::invalid_argument);
+
+  // The edges of both ranges are valid.
+  ClusterConfig ok = base(Algorithm::kAlignedPaxos, 3, 3);
+  ok.faults.process_crashes[3] = 0;
+  ok.faults.memory_crashes[3] = 0;
+  EXPECT_NO_THROW(run_cluster(ok));
+}
+
 TEST(PartialSynchrony, FastRobustSafeBeforeGstLiveAfter) {
   // Slow network until GST: the fast path may abort, but agreement holds and
   // everyone decides after GST.
