@@ -73,9 +73,9 @@ void part1_delay_gap() {
 sim::Task<void> broken_fast_writer(std::vector<mem::MemoryIface*> mems,
                                    RegionId region, std::string* decided) {
   // Write value blocks everywhere, decide immediately on acks — no read.
-  core::DiskBlock b;
-  b.mbal = 0;
-  b.bal = 0;
+  core::BallotRecord b;
+  b.promised = 0;
+  b.accepted = 0;
   b.has_value = true;
   b.value = util::to_bytes("v-fast");
   std::size_t acks = 0;
@@ -116,9 +116,9 @@ void part2_adversarial_replay() {
     exec.call_at(1, [&exec, ifc, region, q_ptr] {
       exec.spawn([](sim::Executor* e, std::vector<mem::MemoryIface*> mems,
                     RegionId region, std::string* decided) -> sim::Task<void> {
-        core::DiskBlock b;
-        b.mbal = 1;
-        b.bal = 1;
+        core::BallotRecord b;
+        b.promised = 1;
+        b.accepted = 1;
         b.has_value = true;
         b.value = util::to_bytes("v-prime");
         std::size_t acks = 0;

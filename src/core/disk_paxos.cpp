@@ -1,176 +1,51 @@
 #include "src/core/disk_paxos.hpp"
 
-#include "src/sim/fanout.hpp"
-#include "src/util/serde.hpp"
-
 namespace mnm::core {
-
-Bytes DiskBlock::encode() const {
-  util::Writer w(8 + 8 + 1 + 4 + value.size());
-  w.u64(mbal).u64(bal).boolean(has_value).bytes(value);
-  return std::move(w).take();
-}
-
-std::optional<DiskBlock> DiskBlock::decode(util::ByteView raw) {
-  if (util::is_bottom(raw)) return DiskBlock{};
-  try {
-    util::Reader r(raw);
-    DiskBlock b;
-    b.mbal = r.u64();
-    b.bal = r.u64();
-    b.has_value = r.boolean();
-    b.value = r.bytes();
-    r.expect_end();
-    return b;
-  } catch (const util::SerdeError&) {
-    return std::nullopt;
-  }
-}
 
 DiskPaxos::DiskPaxos(sim::Executor& exec,
                      std::vector<mem::MemoryIface*> memories, RegionId region,
                      Transport& transport, Omega& omega, DiskPaxosConfig config)
-    : exec_(&exec),
-      memories_(std::move(memories)),
-      region_(region),
+    : DecisionLatch(exec),
       transport_(&transport),
       omega_(&omega),
       self_(transport.self()),
-      config_(std::move(config)),
-      all_(all_processes(config_.n)),
-      decision_gate_(exec) {
-  for (ProcessId p : all_) {
-    block_names_.push_back(config_.prefix + "/block/" + std::to_string(p));
-  }
-}
+      blocks_(exec, std::move(memories), region, self_, config.n,
+              config.prefix + "/block", /*seize=*/false),
+      ballots_(config.n, self_) {}
 
-void DiskPaxos::start() { exec_->spawn(decide_listener()); }
-
-void DiskPaxos::decide_locally(util::ByteView value) {
-  if (decided_value_.has_value()) return;
-  decided_value_ = util::to_bytes(value);
-  decided_at_ = exec_->now();
-  decision_gate_.open();
-}
-
-sim::Task<void> DiskPaxos::decide_listener() {
-  while (true) {
-    const TMsg m = co_await transport_->incoming().recv();
-    decide_locally(m.payload);
-  }
-}
-
-sim::Task<DiskPaxos::RoundResult> DiskPaxos::phase_at_memory(
-    std::size_t idx, DiskBlock own) {
-  mem::MemoryIface* m = memories_[idx];
-  RoundResult out;
-
-  const mem::Status wrote = co_await m->write(
-      self_, region_, block_names_[self_ - 1], own.encode());
-  if (wrote != mem::Status::kAck) co_return out;
-
-  // Batched scatter-gather read of every block at this disk: one completion
-  // event, results in block_names_ order.
-  auto reads = co_await m->read_many(self_, region_, block_names_);
-  out.blocks.resize(all_.size());
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    if (!reads[i].ok()) co_return out;
-    const auto block = DiskBlock::decode(reads[i].value);
-    if (!block.has_value()) co_return out;
-    out.blocks[i] = *block;
-  }
-  out.ok = true;
-  co_return out;
-}
+void DiskPaxos::start() { exec_->spawn(decide_listener(*transport_)); }
 
 sim::Task<Bytes> DiskPaxos::propose(Bytes v) {
-  const std::size_t m = memories_.size();
-  const std::size_t quorum = majority(m);
-  const auto& all = all_;
-
   while (!decided()) {
-    co_await omega_->wait_leadership_or(self_, decision_gate_, config_.poll);
+    co_await omega_->wait_leadership_or(self_, decision_gate());
     if (decided()) break;
 
-    std::uint64_t mbal;
-    Bytes my_value = v;
+    // p1's first attempt runs at ballot 0 with an implicit phase 1: blocks
+    // are all ⊥ initially, so there is nothing to adopt. Unlike Protected
+    // Memory Paxos, Disk Paxos must still pay the verifying read below.
+    const std::uint64_t mbal = ballots_.attempt(/*skip_phase1=*/true);
+    Adoption choice(v);
 
-    const bool fast = (self_ == kLeaderP1 && first_attempt_);
-    first_attempt_ = false;
-    if (fast) {
-      // p1's implicit phase 1 at ballot 0: blocks are all ⊥ initially, so no
-      // value adoption is needed. Unlike Protected Memory Paxos, Disk Paxos
-      // must still pay the verifying read in phase 2 below.
-      mbal = 0;
-    } else {
-      mbal = (max_mbal_seen_ / config_.n + 1) * config_.n + (self_ - 1);
-      max_mbal_seen_ = mbal;
-
-      // Phase 1: announce mbal, read everyone's blocks from a majority.
-      DiskBlock own;
-      own.mbal = mbal;
-      sim::Fanout<RoundResult> fanout(*exec_);
-      for (std::size_t i = 0; i < m; ++i) fanout.add(i, phase_at_memory(i, own));
-      auto results = co_await fanout.collect(quorum);
-
-      bool restart = false;
-      std::uint64_t best_bal = 0;
-      bool adopted = false;
-      for (auto& [idx, r] : results) {
-        if (!r.ok) {
-          restart = true;
-          break;
-        }
-        for (std::size_t i = 0; i < r.blocks.size(); ++i) {
-          const DiskBlock& b = r.blocks[i];
-          max_mbal_seen_ = std::max(max_mbal_seen_, b.mbal);
-          if (all[i] != self_ && b.mbal > mbal) restart = true;
-          if (b.has_value && (!adopted || b.bal > best_bal)) {
-            adopted = true;
-            best_bal = b.bal;
-            my_value = b.value;
-          }
-        }
-        if (restart) break;
-      }
-      if (restart) {
-        co_await exec_->sleep(config_.retry_backoff);
-        continue;
-      }
+    // Phase 1: announce mbal, read everyone's blocks from a majority.
+    bool ok = true;
+    if (mbal != 0) {
+      const BallotRecord announce{mbal, 0, false, {}};
+      ok = co_await blocks_.majority_write_read(announce, ballots_, &choice);
     }
-
     // Phase 2: write the chosen value, then *verify* by re-reading all
     // blocks — with static permissions an acked write proves nothing about
     // contention, so the extra read (2 more delays) is unavoidable (§6).
-    DiskBlock commit;
-    commit.mbal = mbal;
-    commit.bal = mbal;
-    commit.has_value = true;
-    commit.value = my_value;
-    sim::Fanout<RoundResult> fanout(*exec_);
-    for (std::size_t i = 0; i < m; ++i) fanout.add(i, phase_at_memory(i, commit));
-    auto results = co_await fanout.collect(quorum);
-
-    bool restart = false;
-    for (auto& [idx, r] : results) {
-      if (!r.ok) {
-        restart = true;
-        break;
-      }
-      for (std::size_t i = 0; i < r.blocks.size(); ++i) {
-        const DiskBlock& b = r.blocks[i];
-        max_mbal_seen_ = std::max(max_mbal_seen_, b.mbal);
-        if (all[i] != self_ && b.mbal > mbal) restart = true;
-      }
-      if (restart) break;
+    if (ok) {
+      const BallotRecord commit{mbal, mbal, true, choice.value()};
+      ok = co_await blocks_.majority_write_read(commit, ballots_, nullptr);
     }
-    if (restart) {
-      co_await exec_->sleep(config_.retry_backoff);
+    if (!ok) {
+      co_await exec_->sleep(kRetryBackoff);
       continue;
     }
 
-    decide_locally(my_value);
-    transport_->send_all(my_value, /*include_self=*/false);
+    decide_locally(choice.value());
+    transport_->send_all(choice.value(), /*include_self=*/false);
   }
 
   co_return decision();

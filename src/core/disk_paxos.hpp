@@ -16,27 +16,29 @@
 // gap.
 //
 // Registers: "<prefix>/block/<p>" holds p's block (mbal, bal, value) — Disk
-// Paxos's dblock — replicated across the m memories by direct per-memory
-// writes. The prefix defaults to "dp"; multi-slot engines namespace it per
-// slot ("s<slot>/dp") so one memory serves a whole log.
+// Paxos's dblock, a BallotRecord — replicated across the m memories by
+// direct per-memory writes. The prefix defaults to "dp"; multi-slot engines
+// namespace it per slot ("s<slot>/dp") so one memory serves a whole log.
 //
-// DECIDE dissemination runs over the Transport abstraction (one conversation,
-// no tag plumbing): pass a NetTransport in a standalone setup or a slot
+// Shared steps (ballot.hpp): both phases are one
+// BallotRegisters::majority_write_read — PMP's phase 1 without the seize —
+// phase 1 adopting the highest accepted value, phase 2 as the verifying
+// read. DECIDE dissemination is DecisionLatch's raw-value listener over the
+// Transport abstraction: pass a NetTransport in a standalone setup or a slot
 // sub-transport under core::ConsensusEngine.
 
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common.hpp"
+#include "src/core/ballot.hpp"
+#include "src/core/decision_latch.hpp"
 #include "src/core/omega.hpp"
 #include "src/core/transport.hpp"
 #include "src/mem/memory.hpp"
 #include "src/sim/executor.hpp"
-#include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 
 namespace mnm::core {
@@ -50,25 +52,13 @@ RegionId make_disk_region(MemoryT& memory, std::size_t n,
                               mem::static_permissions());
 }
 
-struct DiskBlock {
-  std::uint64_t mbal = 0;  // ballot being attempted
-  std::uint64_t bal = 0;   // ballot of the accepted value
-  bool has_value = false;
-  Bytes value;
-
-  Bytes encode() const;
-  static std::optional<DiskBlock> decode(util::ByteView raw);
-};
-
 struct DiskPaxosConfig {
   std::size_t n = 2;
   /// Register-name namespace; must match the region's make_disk_region prefix.
   std::string prefix = "dp";
-  sim::Time poll = 1;
-  sim::Time retry_backoff = 8;
 };
 
-class DiskPaxos {
+class DiskPaxos : public DecisionLatch {
  public:
   /// `transport` carries the DECIDE dissemination; `transport.self()` is this
   /// process's identity.
@@ -79,43 +69,12 @@ class DiskPaxos {
   void start();
   sim::Task<Bytes> propose(Bytes v);
 
-  bool decided() const { return decided_value_.has_value(); }
-  const Bytes& decision() const { return *decided_value_; }
-  sim::Time decided_at() const { return decided_at_; }
-  /// Disk Paxos is never 2-deciding (Theorem 6.1) — kept for the uniform
-  /// ConsensusEngine surface.
-  bool decided_fast() const { return false; }
-  sim::Gate& decision_gate() { return decision_gate_; }
-
  private:
-  struct RoundResult {
-    bool ok = false;                 // no higher mbal seen
-    std::vector<DiskBlock> blocks;   // all blocks at this memory
-  };
-
-  /// Write own block then read all blocks at memory `idx` (one Disk Paxos
-  /// "phase" at one disk).
-  sim::Task<RoundResult> phase_at_memory(std::size_t idx, DiskBlock own);
-  sim::Task<void> decide_listener();
-  void decide_locally(util::ByteView value);
-
-  sim::Executor* exec_;
-  std::vector<mem::MemoryIface*> memories_;
-  RegionId region_;
   Transport* transport_;
   Omega* omega_;
   ProcessId self_;
-  DiskPaxosConfig config_;
-
-  // Hot-path caches (built once in the constructor).
-  std::vector<ProcessId> all_;
-  std::vector<std::string> block_names_;  // index p - 1
-
-  std::uint64_t max_mbal_seen_ = 0;
-  bool first_attempt_ = true;
-  std::optional<Bytes> decided_value_;
-  sim::Time decided_at_ = 0;
-  sim::Gate decision_gate_;
+  BallotRegisters blocks_;
+  Ballots ballots_;
 };
 
 }  // namespace mnm::core

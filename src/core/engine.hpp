@@ -51,6 +51,7 @@
 #include "src/common.hpp"
 #include "src/core/aligned_paxos.hpp"
 #include "src/core/cheap_quorum.hpp"
+#include "src/core/decision_latch.hpp"
 #include "src/core/disk_paxos.hpp"
 #include "src/core/fast_robust.hpp"
 #include "src/core/omega.hpp"
@@ -171,11 +172,9 @@ class ConsensusEngine {
     decisions_.send(SlotDecision{s, std::move(d)});
   }
 
-  /// Per-slot decision watcher for gate-exposing instances: pushes into
-  /// decisions() exactly once, whether the decision came from our own
-  /// propose or from a learned DECIDE.
-  template <typename Inst>
-  sim::Task<void> watch_decision(Slot s, Inst* inst) {
+  /// Per-slot decision watcher: pushes into decisions() exactly once,
+  /// whether the decision came from our own propose or a learned DECIDE.
+  sim::Task<void> watch_decision(Slot s, DecisionLatch* inst) {
     co_await inst->decision_gate().wait();
     push_decision(
         s, Decision{inst->decision(), inst->decided_fast(), inst->decided_at()});
@@ -201,8 +200,9 @@ class ConsensusEngine {
 // ---------------------------------------------------------------------------
 // Hub-routed engines (Paxos / Fast Paxos / Disk Paxos / PMP / Aligned) —
 // per-slot protocol instances over the slot hub, differing only in how an
-// instance is made. Every instance type exposes start(), propose(Bytes),
-// decision()/decided_fast()/decided_at() and decision_gate().
+// instance is made. Every instance type derives from DecisionLatch
+// (decision_latch.hpp: decision()/decided_fast()/decided_at() and
+// decision_gate()) and adds start() and propose(Bytes).
 // ---------------------------------------------------------------------------
 
 /// Builds one process's protocol instance for a slot over a transport: the

@@ -32,26 +32,34 @@ std::optional<PaxosMsg> PaxosMsg::decode(util::ByteView raw) {
   }
 }
 
+PaxosMsg Acceptor::reply(const PaxosMsg& msg) {
+  if (msg.ballot < state_.promised) {
+    return {PaxosKind::kNack, msg.ballot, state_.promised, false, {}};
+  }
+  state_.promised = msg.ballot;
+  if (msg.kind == PaxosKind::kPrepare) {
+    return {PaxosKind::kPromise, msg.ballot, state_.accepted, state_.has_value,
+            state_.value};
+  }
+  state_.accepted = msg.ballot;
+  state_.has_value = true;
+  state_.value = msg.value;
+  return {PaxosKind::kAccepted, msg.ballot, 0, false, {}};
+}
+
 Paxos::Paxos(sim::Executor& exec, Transport& transport, Omega& omega,
              PaxosConfig config)
-    : exec_(&exec),
+    : DecisionLatch(exec),
       transport_(&transport),
       omega_(&omega),
       config_(config),
-      replies_(exec),
-      decision_gate_(exec) {}
+      ballots_(config.n, transport.self()),
+      replies_(exec) {}
 
 void Paxos::start() {
   assert(!started_ && "Paxos::start called twice");
   started_ = true;
   exec_->spawn(dispatch_loop());
-}
-
-void Paxos::decide_locally(util::ByteView value) {
-  if (decided_value_.has_value()) return;
-  decided_value_ = util::to_bytes(value);
-  decided_at_ = exec_->now();
-  decision_gate_.open();
 }
 
 sim::Task<void> Paxos::dispatch_loop() {
@@ -62,7 +70,8 @@ sim::Task<void> Paxos::dispatch_loop() {
     switch (msg->kind) {
       case PaxosKind::kPrepare:
       case PaxosKind::kAccept:
-        handle_acceptor(raw.src, *msg);
+        ballots_.see(msg->ballot);
+        transport_->send(raw.src, acceptor_.reply(*msg).encode());
         break;
       case PaxosKind::kDecide:
         decide_locally(msg->value);
@@ -76,60 +85,16 @@ sim::Task<void> Paxos::dispatch_loop() {
   }
 }
 
-void Paxos::handle_acceptor(ProcessId src, const PaxosMsg& msg) {
-  max_ballot_seen_ = std::max(max_ballot_seen_, msg.ballot);
-  if (msg.kind == PaxosKind::kPrepare) {
-    if (msg.ballot >= min_ballot_) {
-      min_ballot_ = msg.ballot;
-      PaxosMsg reply{PaxosKind::kPromise, msg.ballot,
-                     accepted_ballot_.value_or(0), accepted_ballot_.has_value(),
-                     accepted_value_};
-      transport_->send(src, reply.encode());
-    } else {
-      transport_->send(src, PaxosMsg{PaxosKind::kNack, msg.ballot, min_ballot_,
-                                     false, {}}
-                                .encode());
-    }
-    return;
-  }
-  // kAccept.
-  if (msg.ballot >= min_ballot_) {
-    min_ballot_ = msg.ballot;
-    accepted_ballot_ = msg.ballot;
-    accepted_value_ = msg.value;
-    transport_->send(src,
-                     PaxosMsg{PaxosKind::kAccepted, msg.ballot, 0, false, {}}
-                         .encode());
-  } else {
-    transport_->send(src, PaxosMsg{PaxosKind::kNack, msg.ballot, min_ballot_,
-                                   false, {}}
-                              .encode());
-  }
-}
+sim::Task<bool> Paxos::run_round(const Bytes& input, std::uint64_t ballot) {
+  const std::size_t quorum = majority(config_.n);
+  const bool fast = ballot == 0;  // p1's implicit phase 1
+  Adoption choice(input);
 
-sim::Task<bool> Paxos::run_round(const Bytes& input, bool fast_first) {
-  const std::size_t n = config_.n;
-  const std::size_t quorum = majority(n);
-  const ProcessId self = transport_->self();
-
-  std::uint64_t ballot;
-  Bytes value = input;
-
-  if (fast_first) {
-    // p1's implicit phase 1 at ballot 0.
-    ballot = 0;
-  } else {
-    // Pick a fresh ballot owned by self, above everything seen.
-    const std::uint64_t round = max_ballot_seen_ / n + 1;
-    ballot = round * n + (self - 1);
-    max_ballot_seen_ = std::max(max_ballot_seen_, ballot);
-
+  if (!fast) {
     // Phase 1: prepare / promise.
     transport_->send_all(PaxosMsg{PaxosKind::kPrepare, ballot, 0, false, {}}
                              .encode());
     std::size_t promises = 0;
-    std::uint64_t best_acc = 0;
-    bool adopted = false;
     const sim::Time deadline = exec_->now() + config_.round_timeout;
     while (promises < quorum) {
       auto reply = co_await replies_.recv_until(deadline);
@@ -139,13 +104,10 @@ sim::Task<bool> Paxos::run_round(const Bytes& input, bool fast_first) {
       if (m.kind == PaxosKind::kNack) co_return false;
       if (m.kind != PaxosKind::kPromise) continue;
       ++promises;
-      if (m.has_value && (!adopted || m.acc_ballot > best_acc)) {
-        adopted = true;
-        best_acc = m.acc_ballot;
-        value = m.value;
-      }
+      choice.offer(m.has_value, m.acc_ballot, m.value);
     }
   }
+  const Bytes& value = choice.value();
 
   // Phase 2: accept / accepted.
   transport_->send_all(
@@ -163,8 +125,7 @@ sim::Task<bool> Paxos::run_round(const Bytes& input, bool fast_first) {
   }
 
   // Chosen. Decide and tell everyone.
-  if (!decided()) decided_fast_ = fast_first;
-  decide_locally(value);
+  decide_locally(value, fast);
   transport_->send_all(
       PaxosMsg{PaxosKind::kDecide, ballot, 0, true, value}.encode(),
       /*include_self=*/false);
@@ -176,15 +137,13 @@ sim::Task<Bytes> Paxos::propose(Bytes value) {
   const ProcessId self = transport_->self();
   while (!decided()) {
     if (omega_->trusts(self)) {
-      const bool fast = config_.skip_phase1_for_p1 && self == kLeaderP1 &&
-                        !used_fast_ballot_;
-      used_fast_ballot_ = used_fast_ballot_ || fast;
-      const bool ok = co_await run_round(value, fast);
+      const bool ok = co_await run_round(
+          value, ballots_.attempt(config_.skip_phase1_for_p1));
       if (ok) break;
       co_await exec_->sleep(config_.retry_backoff);
     } else {
       // Event-driven: woken by an Ω poke or by our own DECIDE.
-      co_await omega_->wait_leadership_or(self, decision_gate_, config_.poll);
+      co_await omega_->wait_leadership_or(self, decision_gate());
     }
   }
   co_return decision();

@@ -20,9 +20,10 @@
 #include <optional>
 
 #include "src/common.hpp"
+#include "src/core/ballot.hpp"
+#include "src/core/decision_latch.hpp"
 #include "src/core/omega.hpp"
 #include "src/core/transport.hpp"
-#include "src/crypto/signature.hpp"
 #include "src/sim/executor.hpp"
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
@@ -60,13 +61,22 @@ struct PaxosConfig {
   sim::Time round_timeout = 40;
   /// Backoff between failed rounds.
   sim::Time retry_backoff = 10;
-  /// Leadership polling period while not the leader.
-  sim::Time poll = 1;
   /// Allow p1 to skip phase 1 at ballot 0 (2-delay fast path).
   bool skip_phase1_for_p1 = false;
 };
 
-class Paxos {
+/// Paxos's acceptor: the promised/accepted state and its replies. Paxos
+/// processes and Aligned Paxos's process agents each hold one.
+class Acceptor {
+ public:
+  /// The promise, accepted or nack answering a kPrepare or kAccept.
+  PaxosMsg reply(const PaxosMsg& msg);
+
+ private:
+  BallotRecord state_;
+};
+
+class Paxos : public DecisionLatch {
  public:
   Paxos(sim::Executor& exec, Transport& transport, Omega& omega,
         PaxosConfig config);
@@ -78,40 +88,18 @@ class Paxos {
   /// uniform agreement, validity; termination under Ω).
   sim::Task<Bytes> propose(Bytes value);
 
-  bool decided() const { return decided_value_.has_value(); }
-  const Bytes& decision() const { return *decided_value_; }
-  sim::Time decided_at() const { return decided_at_; }
-  /// True iff this process decided as the proposer of the ballot-0 phase-1
-  /// skip (the 2-delay steady-state round). Learners report false.
-  bool decided_fast() const { return decided_fast_; }
-  sim::Gate& decision_gate() { return decision_gate_; }
-
  private:
   sim::Task<void> dispatch_loop();
-  void handle_acceptor(ProcessId src, const PaxosMsg& msg);
-  sim::Task<bool> run_round(const Bytes& input, bool fast_first);
-  void decide_locally(util::ByteView value);
+  sim::Task<bool> run_round(const Bytes& input, std::uint64_t ballot);
 
-  sim::Executor* exec_;
   Transport* transport_;
   Omega* omega_;
   PaxosConfig config_;
-
-  // Acceptor state.
-  std::uint64_t min_ballot_ = 0;
-  std::optional<std::uint64_t> accepted_ballot_;
-  Bytes accepted_value_;
+  Acceptor acceptor_;
 
   // Proposer state.
-  std::uint64_t max_ballot_seen_ = 0;
-  bool used_fast_ballot_ = false;
-  bool decided_fast_ = false;
+  Ballots ballots_;
   sim::Channel<std::pair<ProcessId, PaxosMsg>> replies_;
-
-  // Decision.
-  std::optional<Bytes> decided_value_;
-  sim::Time decided_at_ = 0;
-  sim::Gate decision_gate_;
   bool started_ = false;
 };
 

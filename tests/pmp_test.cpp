@@ -1,7 +1,7 @@
 // Unit tests for Protected Memory Paxos (Algorithm 7) and Disk Paxos,
-// exercised directly (not through the harness): slot wire format, the
-// permission-transfer mechanics (Lemma D.3), value adoption, and the
-// 2-vs-4-delay structural difference.
+// exercised directly (not through the harness): the ballot-record wire
+// format both share, the permission-transfer mechanics (Lemma D.3), value
+// adoption, and the 2-vs-4-delay structural difference.
 
 #include <gtest/gtest.h>
 
@@ -24,25 +24,30 @@ using sim::Task;
 using util::to_bytes;
 using util::to_string;
 
-TEST(PmpSlotWire, RoundTrip) {
-  PmpSlot s{7, 5, true, to_bytes("v")};
-  const auto d = PmpSlot::decode(s.encode());
+TEST(BallotRecordWire, RoundTripBottomAndGarbage) {
+  // One codec for PMP slots and Disk Paxos blocks: (promised, accepted,
+  // has_value, value) as u64, u64, bool, length-prefixed bytes.
+  const BallotRecord r{7, 5, true, to_bytes("v")};
+  const auto d = BallotRecord::decode(r.encode());
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->min_proposal, 7u);
-  EXPECT_EQ(d->acc_proposal, 5u);
+  EXPECT_EQ(d->promised, 7u);
+  EXPECT_EQ(d->accepted, 5u);
   EXPECT_TRUE(d->has_value);
   EXPECT_EQ(to_string(d->value), "v");
-}
+  EXPECT_EQ(r.encode().size(), 8u + 8u + 1u + 4u + 1u);
 
-TEST(PmpSlotWire, BottomDecodesToEmptySlot) {
-  const auto d = PmpSlot::decode({});
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->min_proposal, 0u);
-  EXPECT_FALSE(d->has_value);
-}
+  // ⊥ (a register never written) is the all-zero record.
+  const auto bot = BallotRecord::decode({});
+  ASSERT_TRUE(bot.has_value());
+  EXPECT_EQ(bot->promised, 0u);
+  EXPECT_EQ(bot->accepted, 0u);
+  EXPECT_FALSE(bot->has_value);
 
-TEST(PmpSlotWire, GarbageRejected) {
-  EXPECT_FALSE(PmpSlot::decode(to_bytes("xx")).has_value());
+  EXPECT_FALSE(BallotRecord::decode(to_bytes("xx")).has_value());
+  EXPECT_FALSE(BallotRecord::decode(to_bytes("?")).has_value());
+  Bytes trailing = r.encode();
+  trailing.push_back(0);
+  EXPECT_FALSE(BallotRecord::decode(trailing).has_value());
 }
 
 TEST(PmpLegalChange, OnlyExclusiveSelfGrabAllowed) {
@@ -158,7 +163,7 @@ TEST(ProtectedMemoryPaxos, StolenPermissionNaksOldLeaderWrite) {
     (void)co_await w->ifc[0]->change_permission(
         2, w->region, mem::Permission::exclusive_writer(2, all_processes(2)));
     // p1's write now fails.
-    PmpSlot s{0, 0, true, to_bytes("stale")};
+    BallotRecord s{0, 0, true, to_bytes("stale")};
     *out = co_await w->ifc[0]->write(1, w->region, "pmp/slot/1", s.encode());
   }(&w, &p1_write));
   w.exec.run(100);
@@ -231,19 +236,6 @@ TEST(DiskPaxos, BothProposersAgreeUnderContention) {
   ASSERT_TRUE(w.dps[0]->decided());
   ASSERT_TRUE(w.dps[1]->decided());
   EXPECT_EQ(to_string(d1), to_string(d2));
-}
-
-TEST(DiskBlockWire, RoundTripAndBottom) {
-  DiskBlock b{9, 3, true, to_bytes("x")};
-  const auto d = DiskBlock::decode(b.encode());
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->mbal, 9u);
-  EXPECT_EQ(d->bal, 3u);
-  EXPECT_EQ(to_string(d->value), "x");
-  const auto bot = DiskBlock::decode({});
-  ASSERT_TRUE(bot.has_value());
-  EXPECT_FALSE(bot->has_value);
-  EXPECT_FALSE(DiskBlock::decode(to_bytes("?")).has_value());
 }
 
 }  // namespace
