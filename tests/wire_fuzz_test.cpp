@@ -15,7 +15,10 @@
 //    hygiene: attacker-controlled count/length prefixes are capped by the
 //    bytes actually present (the same unchecked-reserve class that caused
 //    the decode_history bad_alloc), truncations and junk decode to
-//    empty/nullopt, and round-trips are exact.
+//    empty/nullopt, and round-trips are exact;
+//  * the ballot record every memory-backed Paxos keeps in shared registers
+//    (which a Byzantine-writable memory could garble) decodes truncations
+//    to nullopt and accepts a flipped wire only in its canonical form.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,7 @@
 #include <set>
 #include <vector>
 
+#include "src/core/ballot.hpp"
 #include "src/core/nonequiv_broadcast.hpp"
 #include "src/core/trusted_messaging.hpp"
 #include "src/crypto/signature.hpp"
@@ -362,6 +366,36 @@ TEST(WireFuzz, KvCommandRandomBytesNeverCrash) {
   // strict length prefixes + expect_end make accidental parses vanishingly
   // rare.
   EXPECT_LT(decoded, 4u);
+}
+
+TEST(WireFuzz, BallotRecordTruncationsAndFlipsNeverCrash) {
+  sim::Rng rng(0xBA110ull);
+  for (int trial = 0; trial < 200; ++trial) {
+    const core::BallotRecord r{rng.next(), rng.next(), rng.chance(0.5),
+                               random_bytes(rng, rng.below(40))};
+    const Bytes wire = r.encode();
+    const auto d = core::BallotRecord::decode(wire);
+    ASSERT_TRUE(d.has_value()) << "trial " << trial;
+    EXPECT_EQ(d->encode(), wire);
+    // Every proper prefix but ⊥ (the empty register) is rejected.
+    for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+      EXPECT_FALSE(core::BallotRecord::decode(
+                       util::ByteView(wire).subspan(0, cut))
+                       .has_value())
+          << "trial " << trial << " cut " << cut;
+    }
+    // A flip in a ballot or the value may decode; one in the flag or the
+    // length prefix may not. Either way an accepted wire is canonical.
+    for (int flip = 0; flip < 8; ++flip) {
+      Bytes flipped = wire;
+      const std::size_t bit = rng.below(flipped.size() * 8);
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      const auto f = core::BallotRecord::decode(flipped);
+      if (f.has_value()) {
+        EXPECT_EQ(f->encode(), flipped) << "trial " << trial;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
