@@ -24,9 +24,10 @@ using sim::Task;
 using util::to_bytes;
 using util::to_string;
 
-TEST(BallotRecordWire, RoundTripBottomAndGarbage) {
-  // One codec for PMP slots and Disk Paxos blocks: (promised, accepted,
-  // has_value, value) as u64, u64, bool, length-prefixed bytes.
+// PMP slots and Disk Paxos blocks share one codec, core::BallotRecord:
+// (promised, accepted, has_value, value) as u64, u64, bool, length-prefixed
+// bytes.
+TEST(PmpSlotWire, RoundTrip) {
   const BallotRecord r{7, 5, true, to_bytes("v")};
   const auto d = BallotRecord::decode(r.encode());
   ASSERT_TRUE(d.has_value());
@@ -35,17 +36,20 @@ TEST(BallotRecordWire, RoundTripBottomAndGarbage) {
   EXPECT_TRUE(d->has_value);
   EXPECT_EQ(to_string(d->value), "v");
   EXPECT_EQ(r.encode().size(), 8u + 8u + 1u + 4u + 1u);
+}
 
+TEST(PmpSlotWire, BottomDecodesToEmptySlot) {
   // ⊥ (a register never written) is the all-zero record.
-  const auto bot = BallotRecord::decode({});
-  ASSERT_TRUE(bot.has_value());
-  EXPECT_EQ(bot->promised, 0u);
-  EXPECT_EQ(bot->accepted, 0u);
-  EXPECT_FALSE(bot->has_value);
+  const auto d = BallotRecord::decode({});
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->promised, 0u);
+  EXPECT_EQ(d->accepted, 0u);
+  EXPECT_FALSE(d->has_value);
+}
 
+TEST(PmpSlotWire, GarbageRejected) {
   EXPECT_FALSE(BallotRecord::decode(to_bytes("xx")).has_value());
-  EXPECT_FALSE(BallotRecord::decode(to_bytes("?")).has_value());
-  Bytes trailing = r.encode();
+  Bytes trailing = BallotRecord{7, 5, true, to_bytes("v")}.encode();
   trailing.push_back(0);
   EXPECT_FALSE(BallotRecord::decode(trailing).has_value());
 }
@@ -236,6 +240,19 @@ TEST(DiskPaxos, BothProposersAgreeUnderContention) {
   ASSERT_TRUE(w.dps[0]->decided());
   ASSERT_TRUE(w.dps[1]->decided());
   EXPECT_EQ(to_string(d1), to_string(d2));
+}
+
+TEST(DiskBlockWire, RoundTripAndBottom) {
+  const BallotRecord b{9, 3, true, to_bytes("x")};
+  const auto d = BallotRecord::decode(b.encode());
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->promised, 9u);
+  EXPECT_EQ(d->accepted, 3u);
+  EXPECT_EQ(to_string(d->value), "x");
+  const auto bot = BallotRecord::decode({});
+  ASSERT_TRUE(bot.has_value());
+  EXPECT_FALSE(bot->has_value);
+  EXPECT_FALSE(BallotRecord::decode(to_bytes("?")).has_value());
 }
 
 }  // namespace
