@@ -627,6 +627,26 @@ const std::vector<Case>& cases() {
                    c.faults.process_crashes[1] = 7;
                    return c;
                  }});
+    // Fast & Robust's backup joined by a fast decider. A failure-free run
+    // never aborts (the schedule is symmetric, so no follower pass comes
+    // back short), so p3 crashes after copying the leader's value: p1 has
+    // decided fast at t = 2, p2 waits for p3's proof until its timeout,
+    // aborts, and the backup must decide p1's value.
+    v.push_back({"FastRobustFollowerAbortsAfterFastDecision", [] {
+                   ClusterConfig c = cluster(Algorithm::kFastRobust, 3, 3, 42);
+                   c.cq_timeout = 30;
+                   c.faults.process_crashes[3] = 5;
+                   return c;
+                 }});
+    // The same in a KV shard: once p3 crashes, every later slot's follower
+    // panics after a short timeout while the leader has already decided.
+    v.push_back({"KvFastRobustShardFollowerCrashPanics", [] {
+                   ClusterConfig c =
+                       kv(cluster(Algorithm::kFastRobust, 3, 3, 9), 1, 2, 3);
+                   c.cq_timeout = 4;
+                   c.faults.process_crashes[3] = 7;
+                   return c;
+                 }});
     return v;
   }();
   return all;
@@ -934,6 +954,17 @@ TEST(Determinism, LeaderCrashPhaseOneSameSeedSameRun) {
   EXPECT_GT(kv.permission_changes, 0u) << kv.summary();
   expect_deterministic("KvProtectedMemoryPaxosLeaderCrash");
   expect_deterministic("AlignedPaxosMemoryMajorityCrash");
+}
+
+TEST(Determinism, FastRobustBackupJoinSameSeedSameRun) {
+  const RunReport a =
+      run_cluster(config("FastRobustFollowerAbortsAfterFastDecision"));
+  EXPECT_TRUE(a.processes[0].fast_path) << a.summary();
+  EXPECT_TRUE(a.processes[1].decided) << a.summary();
+  EXPECT_FALSE(a.processes[1].fast_path) << a.summary();
+  EXPECT_EQ(a.processes[1].decision, "value-1") << a.summary();
+  expect_deterministic("FastRobustFollowerAbortsAfterFastDecision");
+  expect_deterministic("KvFastRobustShardFollowerCrashPanics");
 }
 
 /// Different seeds may legitimately differ, but every seed must be
