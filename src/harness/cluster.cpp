@@ -646,6 +646,7 @@ void fill_resource_counters(RunReport& report, World& w) {
       report.mem_reads += vm->device().posted_reads();
       report.mem_read_batches += vm->device().posted_read_batches();
       report.mem_writes += vm->device().posted_writes();
+      report.permission_changes += vm->permission_changes();
     }
   }
   report.signatures = w.keystore.signatures_made();

@@ -173,6 +173,11 @@ class VerbsMemory : public mem::MemoryIface {
 
   const mem::Permission& region_permission(RegionId region) const;
 
+  /// Permission changes the host applied (legalChange accepted); refused
+  /// changes are not counted. The mem::Memory counterpart is
+  /// Memory::permission_changes().
+  std::uint64_t permission_changes() const { return perm_changes_; }
+
  private:
   struct RegionState {
     std::vector<std::string> prefixes;
@@ -191,6 +196,7 @@ class VerbsMemory : public mem::MemoryIface {
   std::map<ProcessId, QpId> qps_;
   std::map<RegionId, RegionState> regions_;
   RegionId next_region_ = 1;
+  std::uint64_t perm_changes_ = 0;
 };
 
 }  // namespace mnm::verbs

@@ -112,6 +112,20 @@ TEST(CrashResilience, PmpSurvivesLeaderCrashMidRun) {
   EXPECT_TRUE(r.all_ok()) << r.summary();
 }
 
+TEST(CrashResilience, PmpOverVerbsCountsLeaderTakeoverPermissionChanges) {
+  // p2 takes over by seizing write permission on the memories: the verbs
+  // backend must report those changes exactly like the plain backend.
+  ClusterConfig c = base(Algorithm::kProtectedMemoryPaxos, 2, 3);
+  c.faults.process_crashes[1] = 2;
+  const RunReport plain = run_cluster(c);
+  c.verbs_backend = true;
+  const RunReport rdma = run_cluster(c);
+  EXPECT_TRUE(rdma.all_ok()) << rdma.summary();
+  EXPECT_GT(rdma.permission_changes, 0u) << rdma.summary();
+  EXPECT_EQ(rdma.permission_changes, plain.permission_changes)
+      << "plain: " << plain.summary() << "\nverbs: " << rdma.summary();
+}
+
 TEST(CrashResilience, PmpSurvivesMinorityMemoryCrashes) {
   ClusterConfig c = base(Algorithm::kProtectedMemoryPaxos, 2, 5);
   c.faults.memory_crashes[1] = 0;

@@ -232,6 +232,24 @@ TEST(VerbsMemory, LegalChangeEnforcedByHostKernel) {
   EXPECT_EQ(after, Status::kNak);  // leader's rkey was deregistered
 }
 
+TEST(VerbsMemory, CountsAppliedPermissionChangesOnly) {
+  AdapterFixture f;
+  const auto all = procs(3);
+  const auto only_revoke = [](ProcessId, RegionId, const Permission&,
+                              const Permission& proposed) {
+    return proposed.write.empty() && proposed.read_write.empty();
+  };
+  const RegionId r = f.vm.create_region({"L/"}, Permission::swmr(1, all), only_revoke);
+  f.exec.spawn([](VerbsMemory& vm, RegionId r,
+                  const std::vector<ProcessId>& all) -> Task<void> {
+    (void)co_await vm.change_permission(2, r, Permission::swmr(2, all));  // refused
+    (void)co_await vm.change_permission(2, r, Permission::read_only(all));
+    (void)co_await vm.change_permission(3, 42, Permission::read_only(all));  // no region
+  }(f.vm, r, all));
+  f.exec.run();
+  EXPECT_EQ(f.vm.permission_changes(), 1u);
+}
+
 TEST(VerbsMemory, PermissionChangeRotatesRkeys) {
   // After a revoke-and-regrant cycle the new writer works and the old
   // writer's access is gone — rkeys rotated underneath.
