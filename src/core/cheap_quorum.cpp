@@ -237,11 +237,13 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
   const sim::Time deadline = exec_->now() + config_.timeout;
 
   // Both waits below are event-driven: a pass over the registers, then a
-  // suspension on the memories' write-version signals (bounded by the panic
-  // deadline) — a write by the leader, a copier or a panicker wakes us, and
-  // an idle wait costs no events at all. The watch snapshots before each
-  // pass, so writes landing mid-pass rescan immediately.
-  mem::WriteWatch watch(memories_);
+  // suspension on this instance's regions' write versions (bounded by the
+  // panic deadline) — a write by the leader, a copier or a panicker wakes
+  // us, and an idle wait costs no events at all. The watch snapshots before
+  // each pass, so writes landing mid-pass rescan immediately.
+  std::vector<RegionId> watched = regions_.processes();
+  watched.push_back(regions_.leader);
+  mem::WriteWatch watch(memories_, watched);
 
   // Wait for the leader's value (Algorithm 4 lines 10–12).
   Bytes leader_blob;

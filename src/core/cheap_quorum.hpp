@@ -47,6 +47,14 @@ namespace mnm::core {
 struct CheapQuorumRegions {
   RegionId leader = 0;
   std::map<ProcessId, RegionId> per_process;
+
+  /// The per-process regions (Value[p], Panic[p], Proof[p]), in id order.
+  std::vector<RegionId> processes() const {
+    std::vector<RegionId> out;
+    out.reserve(per_process.size());
+    for (const auto& [p, r] : per_process) out.push_back(r);
+    return out;
+  }
 };
 
 /// Create Cheap Quorum's regions on one memory (identical order on every

@@ -18,6 +18,13 @@ NebSlots::NebSlots(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
       owner_regions_(std::move(owner_regions)),
       prefix_(std::move(prefix)) {}
 
+std::vector<RegionId> NebSlots::regions() const {
+  std::vector<RegionId> out;
+  out.reserve(owner_regions_.size());
+  for (const auto& [owner, r] : owner_regions_) out.push_back(r);
+  return out;
+}
+
 swmr::ReplicatedRegister& NebSlots::slot(ProcessId owner, std::uint64_t k,
                                          ProcessId broadcaster) {
   std::unique_ptr<swmr::ReplicatedRegister>& entry =
@@ -161,12 +168,12 @@ sim::Task<bool> NonEquivBroadcast::try_deliver(ProcessId q) {
 
 sim::Task<void> NonEquivBroadcast::scan_loop() {
   // Event-driven scanning: instead of re-reading every broadcaster's head
-  // slot each poll tick, suspend on the memories' write-version signals and
-  // rescan only when some register actually changed. The watch snapshots
-  // *before* a pass, so a write landing mid-scan re-arms the select
-  // immediately — no lost wakeups. Backends without a signal (none in-tree)
-  // degrade to the config_.poll timeout.
-  mem::WriteWatch watch(slots_->memories());
+  // slot each poll tick, suspend on the write versions of this instance's
+  // regions and rescan only when one of its registers actually changed. The
+  // watch snapshots *before* a pass, so a write landing mid-scan re-arms the
+  // select immediately — no lost wakeups. Backends without write versions
+  // (none in-tree) degrade to the config_.poll timeout.
+  mem::WriteWatch watch(slots_->memories(), slots_->regions());
   while (true) {
     watch.snapshot();
     bool progress = false;

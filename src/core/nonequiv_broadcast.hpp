@@ -71,9 +71,11 @@ class NebSlots {
   swmr::ReplicatedRegister& slot(ProcessId owner, std::uint64_t k,
                                  ProcessId broadcaster);
 
-  /// The backing memories, for composing scan wakeups with their
-  /// write-version signals (NonEquivBroadcast's event-driven delivery loop).
+  /// The backing memories and the owners' regions on them, for composing
+  /// scan wakeups with their write versions (NonEquivBroadcast's
+  /// event-driven delivery loop).
   const std::vector<mem::MemoryIface*>& memories() const { return memories_; }
+  std::vector<RegionId> regions() const;
 
  private:
   static std::uint64_t slot_key(ProcessId owner, std::uint64_t k,

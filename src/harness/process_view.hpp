@@ -54,6 +54,7 @@ class ProcessView final : public mem::MemoryIface {
     co_return co_await inner_->read_many(caller, region, std::move(regs));
   }
 
+  using MemoryIface::write_version;
   sim::VersionSignal* write_version() override {
     // Forwarded even when dead: a dead process's scan loop may wake, but it
     // hangs at its next memory operation, exactly like any other step.

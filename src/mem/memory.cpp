@@ -4,6 +4,26 @@
 
 namespace mnm::mem {
 
+sim::VersionSignal& WriteVersions::region(RegionId r) {
+  if (r >= regions_.size()) regions_.resize(r + 1);
+  if (regions_[r] == nullptr) {
+    regions_[r] = std::make_unique<sim::VersionSignal>(*exec_);
+  }
+  return *regions_[r];
+}
+
+void WriteVersions::bump(RegionId r) {
+  VersionSignal::bump();
+  if (r < regions_.size() && regions_[r] != nullptr) regions_[r]->bump();
+}
+
+void WriteVersions::bump_all() {
+  VersionSignal::bump();
+  for (const auto& s : regions_) {
+    if (s != nullptr) s->bump();
+  }
+}
+
 Memory::Memory(sim::Executor& exec, MemoryId id, sim::Time op_delay)
     : exec_(&exec), id_(id), op_delay_(op_delay), write_version_(exec) {}
 
@@ -61,7 +81,7 @@ sim::Task<Status> Memory::write(ProcessId caller, RegionId region,
     ++writes_;
     registers_[op->reg] = std::move(op->value);
     op->outcome = Status::kAck;
-    write_version_.bump();
+    write_version_.bump(op->region);
   });
   exec_->schedule_after(op_delay_, [this, done, op]() mutable {
     if (crashed_ || !op->outcome.has_value()) return;  // response never leaves
@@ -195,7 +215,7 @@ std::optional<Bytes> Memory::peek(const std::string& reg) const {
 
 void Memory::poke(const std::string& reg, Bytes value) {
   registers_[reg] = std::move(value);
-  write_version_.bump();  // injected state counts as a write for watchers
+  write_version_.bump_all();  // injected state counts as a write for watchers
 }
 
 const Permission& Memory::region_permission(RegionId region) const {

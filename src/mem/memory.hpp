@@ -46,6 +46,31 @@ struct ReadResult {
   bool ok() const { return status == Status::kAck; }
 };
 
+/// One memory's write versions. The signal itself counts every applied
+/// write; region(r) counts only the writes applied through region r, so a
+/// waiter that reads one slot's registers (mem::WriteWatch) wakes on that
+/// slot's writes alone, however many other slots share the memory.
+class WriteVersions : public sim::VersionSignal {
+ public:
+  explicit WriteVersions(sim::Executor& exec)
+      : VersionSignal(exec), exec_(&exec) {}
+
+  /// Region r's signal, created on first use; it counts the writes applied
+  /// from then on (a watcher snapshots it before reading, so that is enough).
+  sim::VersionSignal& region(RegionId r);
+
+  /// A write applied through region r (0: through none).
+  void bump(RegionId r);
+
+  /// State injected outside the operation surface (test pokes): every
+  /// signal moves.
+  void bump_all();
+
+ private:
+  sim::Executor* exec_;
+  std::vector<std::unique_ptr<sim::VersionSignal>> regions_;  // index r
+};
+
 /// Abstract memory surface. `mem::Memory` implements it directly;
 /// `verbs::VerbsMemory` implements it through the RDMA-like layer (§7
 /// mapping). Algorithms are written against this interface so they run on
@@ -70,11 +95,21 @@ class MemoryIface {
   virtual sim::Task<Status> change_permission(ProcessId caller, RegionId region,
                                               Permission proposed) = 0;
 
-  /// Bumped at the effect point of every applied write (never for naks).
-  /// Pollers turned waiters (NEB's delivery scan) select on this instead of
-  /// sleeping; nullptr means the backend offers no notification and callers
-  /// must keep a timeout fallback.
+  /// The memory's WriteVersions, or nullptr when the backend offers no
+  /// notification (callers must then keep a timeout fallback). Declared as
+  /// the memory-wide base signal: a decorator forwards the whole table by
+  /// forwarding this one pointer.
   virtual sim::VersionSignal* write_version() { return nullptr; }
+
+  /// Bumped at the effect point of every write applied through `region`
+  /// (never for naks). Pollers turned waiters (Cheap Quorum's follower
+  /// loops, NEB's delivery scan) select on their own regions' signals
+  /// instead of sleeping; nullptr as for write_version().
+  sim::VersionSignal* write_version(RegionId region) {
+    sim::VersionSignal* all = write_version();
+    if (all == nullptr) return nullptr;
+    return &static_cast<WriteVersions*>(all)->region(region);
+  }
 };
 
 class Memory : public MemoryIface {
@@ -102,7 +137,8 @@ class Memory : public MemoryIface {
   sim::Task<Status> change_permission(ProcessId caller, RegionId region,
                                       Permission proposed) override;
 
-  sim::VersionSignal* write_version() override { return &write_version_; }
+  using MemoryIface::write_version;
+  WriteVersions* write_version() override { return &write_version_; }
 
   /// Crash the memory: all in-flight and future operations hang forever.
   void crash() { crashed_ = true; }
@@ -141,7 +177,7 @@ class Memory : public MemoryIface {
   bool crashed_ = false;
   std::vector<Region> regions_;  // region id r lives at index r - 1
   std::map<std::string, Bytes> registers_;
-  sim::VersionSignal write_version_;
+  WriteVersions write_version_;
 
   std::uint64_t reads_ = 0;
   std::uint64_t read_batches_ = 0;

@@ -1,15 +1,21 @@
-// Write-change watch over a set of memories.
+// Write-change watch over some regions of a set of memories.
 //
 // Pollers that re-read registers "until something shows up" (NEB's delivery
-// scan, Cheap Quorum's follower loops) turn into waiters with this helper:
-// snapshot() the memories' write-version signals, do one read pass, and if
-// nothing useful surfaced, arm() a sim::Select — it resumes as soon as any
-// memory applies a write past the snapshot. Because the snapshot is taken
-// *before* the read pass, a write that lands mid-pass re-arms the select
-// immediately: no lost wakeups, no poll ticks.
+// scan, Cheap Quorum's follower loops and panic watch) turn into waiters with
+// this helper: snapshot() the write versions of the regions they read, do
+// one read pass, and if nothing useful surfaced, wait_change() — it resumes
+// as soon as any memory applies a write through one of those regions past
+// the snapshot. Because the snapshot is taken *before* the read pass, a
+// write that lands mid-pass makes the wait return immediately: no lost
+// wakeups, no poll ticks. Writes to other regions — another slot's, another
+// shard's — never wake the watch, so a waiter's cost does not grow with the
+// number of slots sharing the memories.
 //
-// Backends without a write-version signal (none in-tree) make complete()
-// false; callers must then keep a timeout fallback on the select.
+// A watch is itself a sim::Select source (select_ready / select_watch), one
+// source however many (memory, region) signals it covers.
+//
+// Backends without write versions (none in-tree) make complete() false;
+// wait_change then re-checks every `poll` so callers stay live.
 
 #pragma once
 
@@ -18,29 +24,27 @@
 #include <vector>
 
 #include "src/mem/memory.hpp"
+#include "src/sim/pool.hpp"
 #include "src/sim/select.hpp"
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 #include "src/sim/time.hpp"
+#include "src/sim/wait_node.hpp"
 
 namespace mnm::mem {
 
 class WriteWatch {
  public:
-  explicit WriteWatch(const std::vector<MemoryIface*>& memories) {
-    signals_.reserve(memories.size());
+  WriteWatch(const std::vector<MemoryIface*>& memories,
+             const std::vector<RegionId>& regions) {
+    signals_.reserve(memories.size() * regions.size());
     for (MemoryIface* m : memories) {
-      if (sim::VersionSignal* s = m->write_version()) {
-        if (signals_.size() == sim::Select::kMaxSources) {
-          // More memories than select slots: watch the first kMaxSources and
-          // report incomplete so callers keep their timeout fallback —
-          // graceful degradation to polling instead of a failed arm().
+      for (RegionId r : regions) {
+        if (sim::VersionSignal* s = m->write_version(r)) {
+          signals_.push_back(s);
+        } else {
           complete_ = false;
-          break;
         }
-        signals_.push_back(s);
-      } else {
-        complete_ = false;
       }
     }
     seen_.assign(signals_.size(), 0);
@@ -53,15 +57,21 @@ class WriteWatch {
     }
   }
 
-  /// Register every memory as a select source, ready once its version moves
+  /// Select source: ready once some watched region's version has moved
   /// past the last snapshot.
-  void arm(sim::Select& sel) const {
+  bool select_ready() const {
     for (std::size_t i = 0; i < signals_.size(); ++i) {
-      sel.on(*signals_[i], seen_[i]);
+      if (signals_[i]->version() > seen_[i]) return true;
     }
+    return false;
   }
 
-  /// True when every memory reports writes — a select armed from this watch
+  void select_watch(const sim::Rc<sim::SelectNode>& node,
+                    std::uint32_t idx) const {
+    for (sim::VersionSignal* s : signals_) s->select_watch(node, idx);
+  }
+
+  /// True when every watched region reports writes — a wait on this watch
   /// needs no timeout fallback to stay live.
   bool complete() const { return complete_ && !signals_.empty(); }
 
@@ -72,7 +82,7 @@ class WriteWatch {
   sim::Task<void> wait_change(sim::Executor& exec, sim::Time deadline,
                               sim::Time poll) {
     sim::Select sel(exec);
-    arm(sel);
+    sel.on(*this);
     if (!complete()) {
       sel.until(std::min(deadline, exec.now() + poll));
     } else if (deadline != sim::kTimeInfinity) {

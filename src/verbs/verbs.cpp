@@ -29,13 +29,15 @@ PdId RdmaDevice::alloc_pd() {
 }
 
 RKey RdmaDevice::register_mr(PdId pd, std::vector<std::string> prefixes,
-                             Access access, std::vector<std::string> exact) {
+                             Access access, std::vector<std::string> exact,
+                             RegionId region) {
   if (!pds_.contains(pd)) throw std::invalid_argument("register_mr: unknown PD");
   RKey rkey;
   do {
     rkey = rkey_rng_.next();
   } while (rkey == 0 || mrs_.contains(rkey));
-  mrs_.emplace(rkey, Mr{pd, std::move(prefixes), std::move(exact), access});
+  mrs_.emplace(rkey,
+               Mr{pd, std::move(prefixes), std::move(exact), access, region});
   return rkey;
 }
 
@@ -85,7 +87,7 @@ sim::Task<mem::Status> RdmaDevice::post_write(QpId qp, ProcessId caller,
     ++writes_;
     registers_[op->reg] = std::move(op->value);
     op->outcome = mem::Status::kAck;
-    write_version_.bump();
+    write_version_.bump(mrs_.at(op->rkey).region);
   });
   exec_->schedule_after(op_delay_, [this, done, op]() mutable {
     if (crashed_ || !op->outcome.has_value()) return;
@@ -175,7 +177,7 @@ std::optional<Bytes> RdmaDevice::peek(const std::string& reg) const {
 
 void RdmaDevice::poke(const std::string& reg, Bytes value) {
   registers_[reg] = std::move(value);
-  write_version_.bump();
+  write_version_.bump_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ VerbsMemory::VerbsMemory(sim::Executor& exec, std::unique_ptr<RdmaDevice> device
   }
 }
 
-void VerbsMemory::install_registrations(RegionState& rs) {
+void VerbsMemory::install_registrations(RegionId region, RegionState& rs) {
   // Tear down stale rkeys, then register one MR per process whose access
   // level encodes its rights in the region permission (§7's construction).
   for (auto& [p, rkey] : rs.rkeys) device_->deregister_mr(rkey);
@@ -202,7 +204,7 @@ void VerbsMemory::install_registrations(RegionState& rs) {
     const bool w = rs.perm.can_write(p);
     if (!r && !w) continue;
     rs.rkeys.emplace(p, device_->register_mr(pds_.at(p), rs.prefixes,
-                                             Access{r, w}, rs.exact));
+                                             Access{r, w}, rs.exact, region));
   }
 }
 
@@ -218,7 +220,7 @@ RegionId VerbsMemory::create_region(std::vector<std::string> prefixes,
       rid, RegionState{std::move(prefixes), std::move(exact), std::move(perm),
                        std::move(legal), {}});
   (void)ok;
-  install_registrations(it->second);
+  install_registrations(rid, it->second);
   return rid;
 }
 
@@ -285,7 +287,7 @@ sim::Task<mem::Status> VerbsMemory::change_permission(ProcessId caller,
     }
     ++perm_changes_;
     it->second.perm = std::move(op->proposed);
-    install_registrations(it->second);
+    install_registrations(op->region, it->second);
     op->outcome = mem::Status::kAck;
   });
   exec_->schedule_after(sim::kMemoryOpDelay, [this, done, op]() mutable {

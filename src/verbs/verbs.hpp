@@ -61,9 +61,10 @@ class RdmaDevice {
 
   /// Register registers matching `prefixes`/`exact` into `pd` with `access`.
   /// Returns the new rkey. Registrations may overlap (§7: "the capability of
-  /// registering overlapping memory regions").
+  /// registering overlapping memory regions"). `region` names the write
+  /// version a write through this rkey bumps (0: the device-wide one only).
   RKey register_mr(PdId pd, std::vector<std::string> prefixes, Access access,
-                   std::vector<std::string> exact = {});
+                   std::vector<std::string> exact = {}, RegionId region = 0);
 
   /// Invalidate an rkey. Idempotent; returns false if unknown.
   bool deregister_mr(RKey rkey);
@@ -82,8 +83,9 @@ class RdmaDevice {
   sim::Task<std::vector<mem::ReadResult>> post_read_many(
       QpId qp, ProcessId caller, RKey rkey, std::vector<std::string> regs);
 
-  /// Bumped at the NIC-side effect point of every applied write.
-  sim::VersionSignal& write_version() { return write_version_; }
+  /// Bumped at the NIC-side effect point of every applied write, on the
+  /// device-wide signal and on the registration's region.
+  mem::WriteVersions& write_version() { return write_version_; }
 
   void crash() { crashed_ = true; }
   bool crashed() const { return crashed_; }
@@ -104,6 +106,7 @@ class RdmaDevice {
     std::vector<std::string> prefixes;
     std::vector<std::string> exact;
     Access access;
+    RegionId region;
     bool covers(const std::string& reg) const;
   };
   struct Qp {
@@ -127,7 +130,7 @@ class RdmaDevice {
   std::map<QpId, Qp> qps_;
   std::map<RKey, Mr> mrs_;
   std::map<std::string, Bytes> registers_;
-  sim::VersionSignal write_version_;
+  mem::WriteVersions write_version_;
 
   std::uint64_t writes_ = 0;
   std::uint64_t reads_ = 0;
@@ -161,7 +164,8 @@ class VerbsMemory : public mem::MemoryIface {
       ProcessId caller, RegionId region,
       std::vector<std::string> regs) override;
 
-  sim::VersionSignal* write_version() override {
+  using MemoryIface::write_version;
+  mem::WriteVersions* write_version() override {
     return &device_->write_version();
   }
 
@@ -187,7 +191,7 @@ class VerbsMemory : public mem::MemoryIface {
     std::map<ProcessId, RKey> rkeys;  // per-process registration
   };
 
-  void install_registrations(RegionState& rs);
+  void install_registrations(RegionId region, RegionState& rs);
 
   sim::Executor* exec_;
   std::unique_ptr<RdmaDevice> device_;

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "src/mem/memory.hpp"
+#include "src/mem/write_watch.hpp"
 #include "src/sim/executor.hpp"
 #include "src/util/bytes.hpp"
 
@@ -313,6 +314,62 @@ TEST(Memory, CountersTrackOperations) {
   exec.run();
   EXPECT_EQ(memory.writes(), 1u);
   EXPECT_EQ(memory.reads(), 2u);
+}
+
+// ---------- Per-region write versions (mem::WriteWatch) ----------
+
+/// One watcher pass: snapshot region `watched`, read `regs` one after the
+/// other (the pass), then wait for a write. `*woke` records when it resumed.
+Task<void> watch_pass(Executor& e, MemoryIface& m, RegionId watched,
+                      std::vector<std::pair<RegionId, std::string>> regs,
+                      Time* woke) {
+  WriteWatch w({&m}, {watched});
+  w.snapshot();
+  for (auto& [r, reg] : regs) (void)co_await m.read(1, r, reg);
+  co_await w.wait_change(e, sim::kTimeInfinity, 1);
+  *woke = e.now();
+}
+
+Task<void> write_after(Executor& e, MemoryIface& m, Time delay, RegionId r,
+                       std::string reg) {
+  co_await e.sleep(delay);
+  (void)co_await m.write(1, r, std::move(reg), to_bytes("v"));
+}
+
+TEST(WriteWatch, WriteToAnotherRegionDoesNotWake) {
+  Executor exec;
+  Memory memory(exec, 1);
+  const RegionId a = memory.create_region({"a/"}, Permission::open(procs(2)));
+  const RegionId b = memory.create_region({"b/"}, Permission::open(procs(2)));
+  sim::VersionSignal* va = memory.write_version(a);
+  sim::VersionSignal* vb = memory.write_version(b);
+  Time woke = sim::kTimeInfinity;
+  exec.spawn(watch_pass(exec, memory, b, {{b, "b/x"}}, &woke));
+  exec.spawn(write_after(exec, memory, 0, a, "a/x"));
+  exec.run(50);
+  EXPECT_EQ(woke, sim::kTimeInfinity);  // A's write moved A's version only
+  EXPECT_EQ(va->version(), 1u);
+  EXPECT_EQ(vb->version(), 0u);
+
+  const Time b_write_at = exec.now() + 10;
+  exec.spawn(write_after(exec, memory, 10, b, "b/x"));
+  exec.run();
+  EXPECT_EQ(woke, b_write_at + 1);  // B's write takes effect mid-op
+}
+
+TEST(WriteWatch, WriteLandingMidPassStillWakes) {
+  // The pass reads b/x (effect t=1) then a/y (t=2..4); the write to b/x
+  // takes effect at t=3, after the pass looked at it but before the watch
+  // arms. The snapshot predates it, so the wait returns at once.
+  Executor exec;
+  Memory memory(exec, 1);
+  const RegionId a = memory.create_region({"a/"}, Permission::open(procs(2)));
+  const RegionId b = memory.create_region({"b/"}, Permission::open(procs(2)));
+  Time woke = sim::kTimeInfinity;
+  exec.spawn(watch_pass(exec, memory, b, {{b, "b/x"}, {a, "a/y"}}, &woke));
+  exec.spawn(write_after(exec, memory, 2, b, "b/x"));
+  exec.run();
+  EXPECT_EQ(woke, 4u);
 }
 
 }  // namespace

@@ -216,6 +216,7 @@ TEST(WriteVersion, BumpsOnAppliedWritesOnly) {
   auto alive = std::make_shared<bool>(true);
   harness::ProcessView view(exec, m, alive);
   EXPECT_EQ(view.write_version(), m.write_version());
+  EXPECT_EQ(view.write_version(r), m.write_version(r));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "src/mem/memory.hpp"
+#include "src/mem/write_watch.hpp"
 #include "src/sim/executor.hpp"
 #include "src/util/bytes.hpp"
 #include "src/verbs/verbs.hpp"
@@ -277,6 +278,70 @@ TEST(VerbsMemory, UnknownRegionNaks) {
   }(f.vm, st));
   f.exec.run();
   EXPECT_EQ(st, Status::kNak);
+}
+
+// ---------- Per-region write versions through the NIC ----------
+
+Task<void> watch_pass(Executor& e, mem::MemoryIface& m, RegionId watched,
+                      std::vector<std::pair<RegionId, std::string>> regs,
+                      sim::Time* woke) {
+  mem::WriteWatch w({&m}, {watched});
+  w.snapshot();
+  for (auto& [r, reg] : regs) (void)co_await m.read(1, r, reg);
+  co_await w.wait_change(e, sim::kTimeInfinity, 1);
+  *woke = e.now();
+}
+
+Task<void> write_after(Executor& e, mem::MemoryIface& m, sim::Time delay,
+                       RegionId r, std::string reg) {
+  co_await e.sleep(delay);
+  (void)co_await m.write(1, r, std::move(reg), to_bytes("v"));
+}
+
+TEST(VerbsMemory, WriteToAnotherRegionDoesNotWake) {
+  AdapterFixture f;
+  const RegionId a = f.vm.create_region({"a/"}, Permission::open(procs(3)));
+  const RegionId b = f.vm.create_region({"b/"}, Permission::open(procs(3)));
+  sim::VersionSignal* va = f.vm.write_version(a);
+  sim::VersionSignal* vb = f.vm.write_version(b);
+  sim::Time woke = sim::kTimeInfinity;
+  f.exec.spawn(watch_pass(f.exec, f.vm, b, {{b, "b/x"}}, &woke));
+  f.exec.spawn(write_after(f.exec, f.vm, 0, a, "a/x"));
+  f.exec.run(50);
+  EXPECT_EQ(woke, sim::kTimeInfinity);
+  EXPECT_EQ(va->version(), 1u);
+  EXPECT_EQ(vb->version(), 0u);
+
+  const sim::Time b_write_at = f.exec.now() + 10;
+  f.exec.spawn(write_after(f.exec, f.vm, 10, b, "b/x"));
+  f.exec.run();
+  EXPECT_EQ(woke, b_write_at + 1);
+}
+
+TEST(VerbsMemory, WriteLandingMidPassStillWakes) {
+  AdapterFixture f;
+  const RegionId a = f.vm.create_region({"a/"}, Permission::open(procs(3)));
+  const RegionId b = f.vm.create_region({"b/"}, Permission::open(procs(3)));
+  sim::Time woke = sim::kTimeInfinity;
+  f.exec.spawn(watch_pass(f.exec, f.vm, b, {{b, "b/x"}, {a, "a/y"}}, &woke));
+  f.exec.spawn(write_after(f.exec, f.vm, 2, b, "b/x"));
+  f.exec.run();
+  EXPECT_EQ(woke, 4u);
+}
+
+TEST(VerbsMemory, PermissionChangeKeepsTheRegionsWriteVersion) {
+  // Re-registration rotates rkeys; writes through the new rkeys must still
+  // bump the region's version.
+  AdapterFixture f;
+  const RegionId r = f.vm.create_region({"s/"}, Permission::swmr(1, procs(3)),
+                                        mem::dynamic_permissions());
+  const sim::VersionSignal* v = f.vm.write_version(r);
+  f.exec.spawn([](VerbsMemory& vm, RegionId r) -> Task<void> {
+    (void)co_await vm.change_permission(2, r, Permission::swmr(2, procs(3)));
+    (void)co_await vm.write(2, r, "s/v", to_bytes("new writer"));
+  }(f.vm, r));
+  f.exec.run();
+  EXPECT_EQ(v->version(), 1u);
 }
 
 }  // namespace
