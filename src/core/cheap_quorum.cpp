@@ -198,6 +198,15 @@ sim::Task<bool> CheapQuorum::anyone_panicked() {
   co_return false;
 }
 
+sim::Task<void> CheapQuorum::wait_for_panic() {
+  mem::WriteWatch watch(memories_, regions_.processes());
+  while (true) {
+    watch.snapshot();
+    if (co_await anyone_panicked()) co_return;
+    co_await watch.wait_change(*exec_, sim::kTimeInfinity, config_.poll);
+  }
+}
+
 sim::Task<CqOutcome> CheapQuorum::propose(Bytes v) {
   const ProcessId self = signer_.id();
   if (self != config_.leader) {

@@ -140,6 +140,12 @@ class CheapQuorum {
   /// abort outcome (never hangs: panic mode always terminates).
   sim::Task<CqOutcome> propose(Bytes v);
 
+  /// Resolves once some Panic[q] is set: the trigger on which a process
+  /// that decided fast joins the backup. Waits on the per-process regions'
+  /// write versions between passes, so it costs nothing while nobody writes
+  /// this instance's registers.
+  sim::Task<void> wait_for_panic();
+
   std::uint64_t signatures_on_path() const { return signatures_on_path_; }
 
  private:

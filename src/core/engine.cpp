@@ -67,36 +67,30 @@ FastRobustEngine::FastRobustEngine(
 
 ProcessId FastRobustEngine::self() const { return signer_.id(); }
 
-FastRobustSlot FastRobustEngine::make_slot(Slot s) const {
-  const FastRobustSlotRegions& r = regions_->get(s);
+std::unique_ptr<FastRobustProcess> FastRobustEngine::make_slot(Slot s) const {
   FastRobustConfig c = config_;
   c.cheap.prefix = slot_ns(s, cq_ns_);
-  FastRobustSlot out;
-  out.neb_slots = std::make_unique<NebSlots>(*exec_, memories_, r.neb,
-                                             slot_ns(s, neb_ns_));
-  out.process = std::make_unique<FastRobustProcess>(
-      *exec_, memories_, r.cq, *out.neb_slots, *keystore_, signer_, *omega_, c);
-  return out;
+  c.neb_prefix = slot_ns(s, neb_ns_);
+  return std::make_unique<FastRobustProcess>(*exec_, memories_, regions_->get(s),
+                                             *keystore_, signer_, *omega_,
+                                             std::move(c));
 }
 
 void FastRobustEngine::open_slot(Slot slot) {
-  auto it = slots_.find(slot);
-  if (it != slots_.end()) return;
-  FastRobustSlot stack = make_slot(slot);
-  stack.process->start();
-  slots_.emplace(slot, std::move(stack));
+  if (slots_.contains(slot)) return;
+  slots_.emplace(slot, make_slot(slot));
   note_slot(slot);
 }
 
 trusted::TsendStats FastRobustEngine::tsend_stats() const {
   trusted::TsendStats out;
-  for (const auto& [slot, stack] : slots_) out += stack.process->tsend_stats();
+  for (const auto& [slot, inst] : slots_) out += inst->tsend_stats();
   return out;
 }
 
 sim::Task<Decision> FastRobustEngine::propose(Slot slot, Bytes value) {
   open_slot(slot);
-  FastRobustProcess* inst = slots_.at(slot).process.get();
+  FastRobustProcess* inst = slots_.at(slot).get();
   const FastRobustOutcome out = co_await inst->propose(std::move(value));
   Decision d{out.value, out.fast, out.decided_at};
   push_decision(slot, d);

@@ -336,19 +336,6 @@ class CheapQuorumEngine : public ConsensusEngine {
   std::map<Slot, std::unique_ptr<CheapQuorum>> slots_;
 };
 
-/// Per-slot regions of a Fast & Robust slot: Cheap Quorum's plus NEB's.
-struct FastRobustSlotRegions {
-  CheapQuorumRegions cq;
-  std::map<ProcessId, RegionId> neb;
-};
-
-/// One process's Fast & Robust stack for one slot: the process and the NEB
-/// slots its backup broadcasts through (declared first: they outlive it).
-struct FastRobustSlot {
-  std::unique_ptr<NebSlots> neb_slots;
-  std::unique_ptr<FastRobustProcess> process;
-};
-
 class FastRobustEngine : public ConsensusEngine {
  public:
   /// `regions->get(s)` must create make_cq_regions(m, n, leader,
@@ -367,13 +354,14 @@ class FastRobustEngine : public ConsensusEngine {
   void open_slot(Slot slot) override;
   sim::Task<Decision> propose(Slot slot, Bytes value) override;
 
-  /// Slot s's stack for this replica, not started: what open_slot adds, and
-  /// what a single-shot run (the harness) drives directly for slot 0.
-  FastRobustSlot make_slot(Slot s) const;
+  /// Slot s's instance for this replica: what open_slot adds, and what a
+  /// single-shot run (the harness) drives directly for slot 0.
+  std::unique_ptr<FastRobustProcess> make_slot(Slot s) const;
 
-  /// Aggregate t-send decode accounting across this replica's slot stacks —
-  /// the per-delivery suffix-only-decode counters bench_log_pipeline and the
-  /// harness RunReport surface.
+  /// Aggregate t-send decode accounting across this replica's backup stacks
+  /// (slots that never needed the backup add nothing) — the per-delivery
+  /// suffix-only-decode counters bench_log_pipeline and the harness
+  /// RunReport surface.
   trusted::TsendStats tsend_stats() const;
 
  private:
@@ -385,7 +373,7 @@ class FastRobustEngine : public ConsensusEngine {
   FastRobustConfig config_;
   std::string cq_ns_;
   std::string neb_ns_;
-  std::map<Slot, FastRobustSlot> slots_;
+  std::map<Slot, std::unique_ptr<FastRobustProcess>> slots_;
 };
 
 }  // namespace mnm::core

@@ -1,5 +1,8 @@
 #include "src/core/fast_robust.hpp"
 
+#include "src/core/paxos_validator.hpp"
+#include "src/core/transport_mux.hpp"
+
 namespace mnm::core {
 
 PriorityFn fast_robust_priority(const crypto::KeyStore& keystore, std::size_t n,
@@ -28,57 +31,81 @@ PriorityFn fast_robust_priority(const crypto::KeyStore& keystore, std::size_t n,
   };
 }
 
+/// The backup path: Preferential Paxos over Robust Backup(Paxos), i.e.
+/// Paxos and the set-up exchange muxed over trusted messaging over NEB.
+/// Constructing it starts every loop.
+struct FastRobustProcess::Backup {
+  explicit Backup(FastRobustProcess& p)
+      : neb_slots(*p.exec_, p.memories_, p.neb_regions_, p.config_.neb_prefix),
+        neb(*p.exec_, neb_slots, *p.keystore_, p.signer_, p.config_.neb),
+        trusted(*p.exec_, neb, *p.keystore_, p.signer_,
+                trusted::TrustedConfig{p.config_.n},
+                paxos_validator(*p.keystore_, p.config_.n)),
+        mux(*p.exec_, trusted),
+        paxos(*p.exec_, mux.sub(kMuxPaxos), *p.omega_, p.config_.paxos),
+        preferential(*p.exec_, mux.sub(kMuxSetup), paxos,
+                     PreferentialPaxosConfig{p.config_.n, p.config_.f},
+                     fast_robust_priority(*p.keystore_, p.config_.n,
+                                          p.config_.cheap.leader)) {
+    neb.start();
+    trusted.start();
+    mux.start();
+    paxos.start();
+  }
+
+  NebSlots neb_slots;
+  NonEquivBroadcast neb;
+  trusted::TrustedTransport trusted;
+  TransportMux mux;
+  Paxos paxos;
+  PreferentialPaxos preferential;
+};
+
 FastRobustProcess::FastRobustProcess(sim::Executor& exec,
                                      std::vector<mem::MemoryIface*> memories,
-                                     CheapQuorumRegions cq_regions,
-                                     NebSlots& neb_slots,
+                                     FastRobustSlotRegions regions,
                                      const crypto::KeyStore& keystore,
                                      crypto::Signer signer, Omega& omega,
                                      FastRobustConfig config)
-    : config_(config),
-      cheap_(exec, std::move(memories), cq_regions, keystore, signer,
-             config.cheap),
-      neb_(exec, neb_slots, keystore, signer, config.neb),
-      trusted_(exec, neb_, keystore, signer, trusted::TrustedConfig{config.n},
-               paxos_validator(keystore, config.n)),
-      mux_(exec, trusted_),
-      paxos_(exec, mux_.sub(kMuxPaxos), omega, config.paxos),
-      preferential_(exec, mux_.sub(kMuxSetup), paxos_,
-                    PreferentialPaxosConfig{config.n, config.f},
-                    fast_robust_priority(keystore, config.n, config.cheap.leader)) {}
+    : exec_(&exec),
+      memories_(memories),
+      neb_regions_(std::move(regions.neb)),
+      keystore_(&keystore),
+      signer_(signer),
+      omega_(&omega),
+      config_(std::move(config)),
+      cheap_(exec, std::move(memories), regions.cq, keystore, signer,
+             config_.cheap) {}
 
-void FastRobustProcess::start() {
-  neb_.start();
-  trusted_.start();
-  mux_.start();
-  paxos_.start();
+FastRobustProcess::~FastRobustProcess() = default;
+
+trusted::TsendStats FastRobustProcess::tsend_stats() const {
+  return backup_ ? backup_->trusted.tsend_stats() : trusted::TsendStats{};
 }
 
 sim::Task<FastRobustOutcome> FastRobustProcess::propose(Bytes v) {
   // Fast path.
   const CqOutcome cq = co_await cheap_.propose(std::move(v));
 
-  // Backup path — joined unconditionally (Figure 6): the abort (or fast
-  // decision, for liveness of the others) becomes this process's
-  // Preferential Paxos input with Definition 3 priorities computed by
-  // verification at each receiver.
-  PrioInput input;
-  input.value = cq.value;
-  input.proof = cq.proof;
-  input.leader_sig = cq.leader_sig;
-  const PrioInput backup = co_await preferential_.propose(std::move(input));
-
-  FastRobustOutcome out;
+  // The outcome becomes this process's Preferential Paxos input, with
+  // Definition 3 priorities computed by verification at each receiver.
+  PrioInput input{cq.value, cq.proof, cq.leader_sig};
   if (cq.decided) {
-    out.value = cq.value;
-    out.fast = true;
-    out.decided_at = cq.at;
-  } else {
-    out.value = backup.value;
-    out.fast = false;
-    out.decided_at = paxos_.decided_at();
+    exec_->spawn(join_on_panic(std::move(input)));
+    co_return FastRobustOutcome{cq.value, true, cq.at};
   }
-  co_return out;
+  const PrioInput decided = co_await run_backup(std::move(input));
+  co_return FastRobustOutcome{decided.value, false, backup_->paxos.decided_at()};
+}
+
+sim::Task<void> FastRobustProcess::join_on_panic(PrioInput input) {
+  co_await cheap_.wait_for_panic();
+  (void)co_await run_backup(std::move(input));
+}
+
+sim::Task<PrioInput> FastRobustProcess::run_backup(PrioInput input) {
+  backup_ = std::make_unique<Backup>(*this);
+  co_return co_await backup_->preferential.propose(std::move(input));
 }
 
 }  // namespace mnm::core

@@ -267,7 +267,9 @@ class SingleShotOf final : public SingleShot {
         neb_slots_(std::move(neb_slots)),
         inst_(std::move(inst)) {}
 
-  void start() override { inst_->start(); }
+  void start() override {
+    if constexpr (requires { inst_->start(); }) inst_->start();
+  }
 
   sim::Task<void> propose(ProcessReport* row, Bytes v) override {
     auto out = co_await inst_->propose(std::move(v));
@@ -902,9 +904,8 @@ Wiring wire(World& w, TransportFor transport, const Namespace& ns,
             *w.omega, fc, cq_prefix, neb_prefix);
       };
       return {engine, [&w, engine](ProcessId p) {
-                core::FastRobustSlot slot = engine(p)->make_slot(0);
                 return std::make_unique<SingleShotOf<core::FastRobustProcess>>(
-                    w.exec, std::move(slot.process), std::move(slot.neb_slots));
+                    w.exec, engine(p)->make_slot(0));
               }};
     }
   }

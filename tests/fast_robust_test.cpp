@@ -112,23 +112,71 @@ TEST(CompositionLemma, FastDeciderValueWinsBackup) {
 TEST(CompositionLemma, HoldsAcrossTimeoutSweep) {
   // Sweep the follower timeout through the racy region: whatever mix of
   // fast deciders and aborters results, agreement must hold and, if anyone
-  // decided fast, the final value is theirs.
+  // decided fast, the final value is theirs. A failure-free run is
+  // symmetric — no follower pass comes back short, so nobody aborts at any
+  // timeout — hence each timeout also runs with p3 crashing after it copied
+  // the leader's value: p1 has decided fast, p2 gives up on p3's proof and
+  // aborts, and p1 must join the backup for it to terminate.
+  std::size_t mixed = 0;
   for (sim::Time timeout : {sim::Time{4}, sim::Time{8}, sim::Time{12},
                             sim::Time{30}, sim::Time{60}}) {
-    harness::ClusterConfig c;
-    c.algo = harness::Algorithm::kFastRobust;
-    c.n = 3;
-    c.m = 3;
-    c.cq_timeout = timeout;
-    const harness::RunReport r = harness::run_cluster(c);
-    EXPECT_TRUE(r.agreement) << "timeout=" << timeout << " " << r.summary();
-    EXPECT_TRUE(r.termination) << "timeout=" << timeout << " " << r.summary();
-    bool any_fast = false;
-    for (const auto& p : r.processes) any_fast |= p.fast_path;
-    if (any_fast) {
-      EXPECT_EQ(*r.decided_value, "value-1") << "timeout=" << timeout;
+    for (const bool crash : {false, true}) {
+      harness::ClusterConfig c;
+      c.algo = harness::Algorithm::kFastRobust;
+      c.n = 3;
+      c.m = 3;
+      c.cq_timeout = timeout;
+      if (crash) c.faults.process_crashes[3] = 5;
+      const harness::RunReport r = harness::run_cluster(c);
+      EXPECT_TRUE(r.agreement) << "timeout=" << timeout << " " << r.summary();
+      EXPECT_TRUE(r.termination) << "timeout=" << timeout << " " << r.summary();
+      bool any_fast = false;
+      bool any_aborted = false;
+      for (const auto& p : r.processes) {
+        any_fast |= p.fast_path;
+        any_aborted |= p.decided && !p.fast_path;
+      }
+      if (any_fast) {
+        EXPECT_EQ(*r.decided_value, "value-1") << "timeout=" << timeout;
+      }
+      if (any_fast && any_aborted && r.termination) ++mixed;
     }
   }
+  EXPECT_GT(mixed, 0u) << "no swept run mixed fast deciders with an aborter";
+}
+
+TEST(CompositionLemma, FastDeciderJoinsTheBackupOnPanic) {
+  // p1 decides at 2 delays and returns; p2 aborts once p3 crashes. The
+  // backup needs n − fP = 2 inputs, so p2 decides only because p1's panic
+  // watch saw Panic[p2] and p1 joined with its fast value.
+  harness::ClusterConfig c;
+  c.algo = harness::Algorithm::kFastRobust;
+  c.n = 3;
+  c.m = 3;
+  c.cq_timeout = 30;
+  c.faults.process_crashes[3] = 5;
+  const harness::RunReport r = harness::run_cluster(c);
+  ASSERT_TRUE(r.all_ok()) << r.summary();
+  EXPECT_TRUE(r.processes[0].fast_path) << r.summary();
+  EXPECT_EQ(r.processes[0].decided_at, 2u) << r.summary();
+  EXPECT_FALSE(r.processes[1].fast_path) << r.summary();
+  EXPECT_EQ(r.processes[1].decision, "value-1") << r.summary();
+  EXPECT_GT(r.tsend_deliveries, 0u) << r.summary();
+}
+
+TEST(CompositionLemma, HonestRunBuildsNoBackup) {
+  harness::ClusterConfig c;
+  c.algo = harness::Algorithm::kFastRobust;
+  c.n = 3;
+  c.m = 3;
+  const harness::RunReport r = harness::run_cluster(c);
+  ASSERT_TRUE(r.all_ok()) << r.summary();
+  for (const auto& p : r.processes) EXPECT_TRUE(p.fast_path) << r.summary();
+  EXPECT_EQ(r.first_decision_delay, 2u);
+  EXPECT_EQ(r.tsend_deliveries, 0u) << r.summary();
+  EXPECT_EQ(r.messages_sent, 0u) << r.summary();
+  // Leader value plus each process's copy and proof, on every memory.
+  EXPECT_EQ(r.mem_writes, (2 * c.n + 1) * c.m) << r.summary();
 }
 
 TEST(FastRobustEngine, BackupTakeoverUnderByzantineLeaderAndSlowSchedule) {

@@ -329,12 +329,17 @@ TEST(KvCluster, SignedCommandsSurviveLiveResharding) {
 // ---------------------------------------------------------------------------
 
 TEST(KvCluster, SlowShardNoLongerRetryStormsWithAdaptiveDeadline) {
-  // A FastRobust-backed shard commits an op in ~80+ time units — beyond the
-  // default fixed deadline of 64, so the old Router re-submitted nearly
-  // every operation every time (dedup kept it correct, but the log filled
-  // with suppressed duplicates). The adaptive deadline observes the shard's
-  // real latency after the cold-start misses and stops the storm.
+  // A shard slow by construction: its Fast & Robust Cheap Quorum leader is
+  // Byzantine (it plants conflicting values, then takes no part), so every
+  // slot waits out the follower timeout and decides on the backup path, an
+  // op taking ~100 time units — beyond the default fixed deadline of 64, so
+  // the old Router re-submitted nearly every operation every time (dedup
+  // kept it correct, but the log filled with suppressed duplicates). The
+  // adaptive deadline observes the shard's real latency after the
+  // cold-start misses and stops the storm.
   ClusterConfig fixed = kv_config(Algorithm::kFastRobust, 3, 3, 1, 2, 16);
+  fixed.faults.byzantine[1] = ByzantineStrategy::kCqLeaderEquivocate;
+  fixed.cq_timeout = 10;
   fixed.kv.adaptive_retry = false;
   ClusterConfig adaptive = fixed;
   adaptive.kv.adaptive_retry = true;
@@ -355,6 +360,52 @@ TEST(KvCluster, SlowShardNoLongerRetryStormsWithAdaptiveDeadline) {
       << rf.summary() << "\nadaptive: " << ra.summary();
   EXPECT_LT(ra.kv_retries, ra.kv_ops / 2)
       << "most ops must complete without any retry: " << ra.summary();
+}
+
+// ---------------------------------------------------------------------------
+// Fast & Robust shards: the 2-delay fast path end to end.
+// ---------------------------------------------------------------------------
+
+TEST(KvCluster, HonestFastRobustShardBuildsNoBackup) {
+  // Every replica returns at its Cheap Quorum decision and nobody panics,
+  // so no slot builds its backup stack: no t-sends, no permission changes,
+  // and every memory write is a Cheap Quorum write (the leader's value plus
+  // each process's copy and proof, on every memory) — no NEB slot is ever
+  // written. Ops commit at the leader's 2 delays without a retry.
+  const ClusterConfig c = kv_config(Algorithm::kFastRobust, 3, 3, 1, 2, 8);
+  const RunReport r = run_cluster(c);
+  ASSERT_TRUE(r.all_ok()) << r.summary();
+  EXPECT_EQ(r.kv_ops, 2u * 8u);
+  EXPECT_EQ(r.tsend_deliveries, 0u) << r.summary();
+  EXPECT_EQ(r.permission_changes, 0u) << r.summary();
+  EXPECT_EQ(r.mem_writes, r.slots_applied * (2 * c.n + 1) * c.m)
+      << r.summary();
+  EXPECT_EQ(r.kv_retries, 0u) << r.summary();
+  EXPECT_EQ(r.kv_op_p50, 2u) << r.summary();
+}
+
+TEST(KvCluster, FastRobustPerOpCostStaysFlatAsTheRunGrows) {
+  // Decided slots keep a panic watch each; it must wake only on its own
+  // slot's writes, or every op would pay for every earlier slot.
+  const auto run = [](std::size_t ops_per_client) {
+    const RunReport r = run_cluster(
+        kv_config(Algorithm::kFastRobust, 3, 3, 1, 2, ops_per_client));
+    EXPECT_TRUE(r.all_ok()) << r.summary();
+    EXPECT_EQ(r.kv_ops, 2u * ops_per_client);
+    return r;
+  };
+  const RunReport small = run(8);
+  const RunReport large = run(64);
+  const auto per_op = [](std::uint64_t total, const RunReport& r) {
+    return static_cast<double>(total) / static_cast<double>(r.kv_ops);
+  };
+  EXPECT_LT(per_op(large.mem_reads, large),
+            1.5 * per_op(small.mem_reads, small))
+      << "8 ops/client:  " << small.summary()
+      << "\n64 ops/client: " << large.summary();
+  EXPECT_LT(per_op(large.events, large), 1.5 * per_op(small.events, small))
+      << "8 ops/client:  " << small.summary()
+      << "\n64 ops/client: " << large.summary();
 }
 
 TEST(KvCluster, AdaptiveDeadlineBacksOffExponentially) {
