@@ -95,8 +95,6 @@ class FastRobustProcess {
   sim::Task<FastRobustOutcome> propose(Bytes v);
 
   CheapQuorum& cheap_quorum() { return cheap_; }
-  /// True once this process has built its backup stack.
-  bool joined_backup() const { return backup_ != nullptr; }
   /// Backup-path t-send decode accounting (suffix-only decode proof); zero
   /// while the backup was never joined.
   trusted::TsendStats tsend_stats() const;
