@@ -50,16 +50,18 @@ QpId RdmaDevice::create_qp(PdId pd, ProcessId owner) {
   return qp;
 }
 
-bool RdmaDevice::allowed(QpId qp, ProcessId caller, RKey rkey,
-                         const std::string& reg, bool is_write) const {
+const RdmaDevice::Mr* RdmaDevice::allowed(QpId qp, ProcessId caller,
+                                          RKey rkey, const std::string& reg,
+                                          bool is_write) const {
   const auto qit = qps_.find(qp);
-  if (qit == qps_.end() || qit->second.owner != caller) return false;
+  if (qit == qps_.end() || qit->second.owner != caller) return nullptr;
   const auto mit = mrs_.find(rkey);
-  if (mit == mrs_.end()) return false;  // deregistered ⇒ stale rkey
+  if (mit == mrs_.end()) return nullptr;  // deregistered ⇒ stale rkey
   const Mr& mr = mit->second;
-  if (mr.pd != qit->second.pd) return false;  // PD mismatch
-  if (!mr.covers(reg)) return false;
-  return is_write ? mr.access.remote_write : mr.access.remote_read;
+  if (mr.pd != qit->second.pd) return nullptr;  // PD mismatch
+  if (!mr.covers(reg)) return nullptr;
+  const bool ok = is_write ? mr.access.remote_write : mr.access.remote_read;
+  return ok ? &mr : nullptr;
 }
 
 sim::Task<mem::Status> RdmaDevice::post_write(QpId qp, ProcessId caller,
@@ -79,7 +81,9 @@ sim::Task<mem::Status> RdmaDevice::post_write(QpId qp, ProcessId caller,
 
   exec_->schedule_after(op_delay_ / 2, [this, op] {
     if (crashed_) return;
-    if (!allowed(op->qp, op->caller, op->rkey, op->reg, /*is_write=*/true)) {
+    const Mr* mr =
+        allowed(op->qp, op->caller, op->rkey, op->reg, /*is_write=*/true);
+    if (mr == nullptr) {
       ++naks_;
       op->outcome = mem::Status::kNak;
       return;
@@ -87,7 +91,7 @@ sim::Task<mem::Status> RdmaDevice::post_write(QpId qp, ProcessId caller,
     ++writes_;
     registers_[op->reg] = std::move(op->value);
     op->outcome = mem::Status::kAck;
-    write_version_.bump(mrs_.at(op->rkey).region);
+    write_version_.bump(mr->region);
   });
   exec_->schedule_after(op_delay_, [this, done, op]() mutable {
     if (crashed_ || !op->outcome.has_value()) return;

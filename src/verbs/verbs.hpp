@@ -114,9 +114,10 @@ class RdmaDevice {
     ProcessId owner;
   };
 
-  /// NIC-side check executed at request arrival.
-  bool allowed(QpId qp, ProcessId caller, RKey rkey, const std::string& reg,
-               bool is_write) const;
+  /// NIC-side check executed at request arrival: the registration that
+  /// permits the access, or nullptr.
+  const Mr* allowed(QpId qp, ProcessId caller, RKey rkey,
+                    const std::string& reg, bool is_write) const;
 
   sim::Executor* exec_;
   MemoryId id_;
