@@ -171,8 +171,8 @@ void auto_tune_table() {
 
 void bm_kv(benchmark::State& state, Algorithm algo, std::size_t n,
            std::size_t m, std::size_t shards, std::size_t clients,
-           std::size_t ops, kv::Mix mix, bool auto_tune = false,
-           bool sign = false) {
+           std::size_t ops, kv::Mix mix, bool auto_tune,
+           bool sign, sim::Time crash_p1_at) {
   std::uint64_t seed = 1;
   std::uint64_t completed = 0;
   double ops_per_kdelay = 0.0;
@@ -182,6 +182,7 @@ void bm_kv(benchmark::State& state, Algorithm algo, std::size_t n,
     ClusterConfig c =
         kv_config(algo, n, m, shards, clients, ops, mix, auto_tune, sign);
     c.seed = seed++;
+    if (crash_p1_at > 0) c.faults.process_crashes[kLeaderP1] = crash_p1_at;
     const RunReport r = run_cluster(c);
     if (!r.agreement || !r.termination) {
       state.SkipWithError(r.agreement ? "kv run did not terminate"
@@ -262,23 +263,30 @@ int main(int argc, char** argv) {
   // ≥3x from one shard to eight on the read-heavy mix.
   benchmark::RegisterBenchmark("kv/FastPaxos_s1_C", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 1, 64, 8,
-                               kv::Mix::kC, false, false)
+                               kv::Mix::kC, false, false, 0)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("kv/FastPaxos_s8_C", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 8, 64, 8,
-                               kv::Mix::kC, false, false)
+                               kv::Mix::kC, false, false, 0)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("kv/FastPaxos_s4_A", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 4, 64, 8,
-                               kv::Mix::kA, false, false)
+                               kv::Mix::kA, false, false, 0)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("kv/PMP_s2_A", bm_kv,
                                Algorithm::kProtectedMemoryPaxos, 2, 3, 2, 8, 4,
-                               kv::Mix::kA, false, false)
+                               kv::Mix::kA, false, false, 0)
+      ->Unit(benchmark::kMillisecond);
+  // The same PMP shape with the leader crashing mid-run: every slot after
+  // the crash runs under p2's leadership, so the row guards what a
+  // fail-over leader pays per slot.
+  benchmark::RegisterBenchmark("kv/PMP_s2_A_leadercrash", bm_kv,
+                               Algorithm::kProtectedMemoryPaxos, 2, 3, 2, 8, 4,
+                               kv::Mix::kA, false, false, sim::Time{4})
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("kv/FastRobust_s1_A", bm_kv,
                                Algorithm::kFastRobust, 3, 3, 1, 2, 3,
-                               kv::Mix::kA, false, false)
+                               kv::Mix::kA, false, false, 0)
       ->Unit(benchmark::kMillisecond);
   // Signed-vs-unsigned pair: identical workload to kv/FastPaxos_s4_A, but
   // every command carries a client HMAC and every replica apply verifies
@@ -286,18 +294,18 @@ int main(int argc, char** argv) {
   // sign per op + one verify per replica apply — expected small).
   benchmark::RegisterBenchmark("kv/FastPaxos_s4_A_signed", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 4, 64, 8,
-                               kv::Mix::kA, false, true)
+                               kv::Mix::kA, false, true, 0)
       ->Unit(benchmark::kMillisecond);
   // Auto-tuned counterparts of the fixed guard rows: the controller starts
   // from the same 4x4 and must land within ~10% of it (or beat it) on both
   // the read-heavy and the write-heavy mix.
   benchmark::RegisterBenchmark("kv/FastPaxos_s1_C_auto", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 1, 64, 8,
-                               kv::Mix::kC, true, false)
+                               kv::Mix::kC, true, false, 0)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("kv/FastPaxos_s4_A_auto", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 4, 64, 8,
-                               kv::Mix::kA, true, false)
+                               kv::Mix::kA, true, false, 0)
       ->Unit(benchmark::kMillisecond);
   // During-migration row: a live 1→2 split (src/reconfig/) mid-workload.
   // Compare against kv/FastPaxos_s1_C for what the reshard costs while it

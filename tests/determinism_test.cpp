@@ -647,6 +647,25 @@ const std::vector<Case>& cases() {
                    c.faults.process_crashes[3] = 7;
                    return c;
                  }});
+    // PMP fail-overs that run long enough for the new leader to propose
+    // most of the log: one KV shard whose leader crashes early, and an
+    // SMR log at n = 3 whose first two leaders crash in turn, so p3 takes
+    // over slots p2 had already seized and accepted values in.
+    v.push_back({"KvProtectedMemoryPaxosLeaderCrashLongRun", [] {
+                   ClusterConfig c = kv(
+                       cluster(Algorithm::kProtectedMemoryPaxos, 2, 3, 42), 1,
+                       4, 12);
+                   c.faults.process_crashes[1] = 5;
+                   return c;
+                 }});
+    v.push_back({"SmrProtectedMemoryPaxosChainedFailover", [] {
+                   ClusterConfig c = smr(
+                       cluster(Algorithm::kProtectedMemoryPaxos, 3, 3, 42), 24,
+                       2, 4);
+                   c.faults.process_crashes[1] = 5;
+                   c.faults.process_crashes[2] = 15;
+                   return c;
+                 }});
     return v;
   }();
   return all;
@@ -965,6 +984,22 @@ TEST(Determinism, FastRobustBackupJoinSameSeedSameRun) {
   EXPECT_EQ(a.processes[1].decision, "value-1") << a.summary();
   expect_deterministic("FastRobustFollowerAbortsAfterFastDecision");
   expect_deterministic("KvFastRobustShardFollowerCrashPanics");
+}
+
+TEST(Determinism, KvProtectedMemoryPaxosLeaderCrashLongRunSameSeedSameRun) {
+  const RunReport a =
+      run_cluster(config("KvProtectedMemoryPaxosLeaderCrashLongRun"));
+  EXPECT_EQ(a.kv_ops, 48u) << a.summary();
+  EXPECT_GT(a.permission_changes, 0u) << a.summary();
+  expect_deterministic("KvProtectedMemoryPaxosLeaderCrashLongRun");
+}
+
+TEST(Determinism, SmrProtectedMemoryPaxosChainedFailoverSameSeedSameRun) {
+  const RunReport a =
+      run_cluster(config("SmrProtectedMemoryPaxosChainedFailover"));
+  EXPECT_FALSE(a.processes[1].log.empty()) << a.summary();
+  EXPECT_FALSE(a.processes[2].log.empty()) << a.summary();
+  expect_deterministic("SmrProtectedMemoryPaxosChainedFailover");
 }
 
 /// Different seeds may legitimately differ, but every seed must be
