@@ -97,4 +97,94 @@ sim::Task<bool> BallotRegisters::majority_write_read(BallotRecord own,
   co_return true;
 }
 
+LeaderTerm::LeaderTerm(sim::Executor& exec, std::size_t n, ProcessId self,
+                       RegistersFn registers)
+    : exec_(&exec), registers_(std::move(registers)), ballots_(n, self) {}
+
+LeaderTerm::Entry& LeaderTerm::entry(Slot s) {
+  auto it = entries_.find(s);
+  if (it == entries_.end()) it = entries_.emplace(s, Entry(registers_(s))).first;
+  return it->second;
+}
+
+bool LeaderTerm::begin_fast(Slot s) {
+  if (started_) return false;
+  fast_.push_back(s);
+  return true;
+}
+
+void LeaderTerm::end_term(std::uint64_t term) {
+  if (!active_ || term != term_) return;
+  active_ = false;
+  ++term_;
+}
+
+sim::Task<std::optional<LeaderTerm::Lease>> LeaderTerm::prepare(
+    Slot s, Adoption* choice) {
+  while (true) {
+    Entry& e = entry(s);  // map nodes are stable across suspensions
+    if (active_ && e.term == term_) {
+      if (!e.claimed) {
+        // Prepared ahead by this term, or being prepared.
+        const std::shared_ptr<Round> round = e.round;
+        if (!round->done.is_open()) {
+          co_await round->done.wait();
+          continue;  // the round may have failed and ended the term
+        }
+        e.claimed = true;
+        e.round.reset();
+        choice->offer(round->adoption);
+        prepare_ahead(s);
+        co_return Lease{ballot_, term_};
+      }
+      // A second proposal for a claimed slot.
+      end_term(term_);
+    }
+    if (!active_) {
+      ballot_ = ballots_.next();
+      active_ = true;
+      started_ = true;
+    }
+    e.term = term_;
+    e.claimed = true;
+    e.round.reset();
+    prepare_ahead(s);
+    const Lease lease{ballot_, term_};
+    const BallotRecord write1{lease.ballot, 0, false, {}};
+    if (co_await e.regs.majority_write_read(write1, ballots_, choice)) {
+      co_return lease;
+    }
+    end_term(lease.term);
+    co_return std::nullopt;
+  }
+}
+
+void LeaderTerm::prepare_ahead(Slot s) {
+  if (opened_ <= 1) return;  // slot 0 alone: nothing to amortise
+  const Slot end = std::max(s + 1, opened_) + kLookAhead;
+  for (Slot t = s + 1; t < end; ++t) {
+    if (std::find(fast_.begin(), fast_.end(), t) != fast_.end()) continue;
+    Entry& e = entry(t);
+    // A claimed slot is re-prepared only by its own proposer, once its
+    // phase-2 write has completed: seizing the regions while that write is
+    // in flight could let it land under a permission a rival's decision
+    // had revoked in between.
+    if (e.claimed || e.term == term_) continue;
+    e.term = term_;
+    e.round = std::make_shared<Round>(*exec_);
+    exec_->spawn(run_round(shared_from_this(), &e, e.round, {ballot_, term_}));
+  }
+}
+
+sim::Task<void> LeaderTerm::run_round(std::shared_ptr<LeaderTerm> self,
+                                      Entry* entry,
+                                      std::shared_ptr<Round> round,
+                                      Lease lease) {
+  const BallotRecord write1{lease.ballot, 0, false, {}};
+  round->ok = co_await entry->regs.majority_write_read(write1, self->ballots_,
+                                                       &round->adoption);
+  if (!round->ok) self->end_term(lease.term);
+  round->done.open();
+}
+
 }  // namespace mnm::core

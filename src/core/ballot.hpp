@@ -9,11 +9,16 @@
 //    per-memory steps over them — write own record then read every record
 //    (a Disk Paxos phase; PMP's phase 1 after seizing write permission,
 //    Alg. 7 lines 13–15) and the plain phase-2 write (lines 21–22).
+//  * LeaderTerm: one proposer's phase 1 across many slots at one ballot
+//    (Multi-Paxos terms, as in Mu), built from the three pieces above.
 
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +26,7 @@
 #include "src/common.hpp"
 #include "src/mem/memory.hpp"
 #include "src/sim/executor.hpp"
+#include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 
 namespace mnm::core {
@@ -85,6 +91,10 @@ class Adoption {
   void offer(const std::vector<BallotRecord>& records) {
     for (const BallotRecord& r : records) offer(r.has_value, r.accepted, r.value);
   }
+  /// What another fold adopted, if it adopted anything.
+  void offer(const Adoption& other) {
+    offer(other.adopted_, other.ballot_, other.value_);
+  }
   const Bytes& value() const { return value_; }
 
  private:
@@ -129,6 +139,103 @@ class BallotRegisters {
   ProcessId self_;
   std::vector<std::string> names_;  // index p - 1
   std::optional<mem::Permission> seize_;  // exclusive_writer(self, all)
+};
+
+/// One proposer's leader term over a log of slots, each slot its own
+/// BallotRegisters. A term picks one ballot and runs phase 1
+/// (majority_write_read) at it once per slot: for the slot being proposed,
+/// for every slot the process has opened past it, and for a look-ahead
+/// window beyond — all in parallel, the proposer's own slot inline and the
+/// others as background rounds. Each slot's adopted value is kept as
+/// prepared state, so a later proposal there goes straight to phase 2.
+/// Every proposal slides the window, so it is refilled before it runs out.
+///
+/// A phase-1 round that fails (a nak, or a promise above the term's
+/// ballot) ends the term, and so does the caller's report of a phase-2
+/// nak (end()). The next proposal starts a new term at a fresh ballot. A
+/// ballot carries at most one value per slot: each prepared slot is
+/// claimed once, and a second proposal for a claimed slot moves to a new
+/// term. (As without a term, callers keep one proposal per slot in
+/// flight: a process's own phase 1 must not seize a slot's regions while
+/// its phase-2 write there is outstanding.)
+///
+/// A process that has opened only slot 0 (a single-shot run) prepares
+/// nothing ahead: slot 0 alone has nothing to amortise, and its phase 1
+/// is then exactly a term-less attempt's.
+class LeaderTerm : public std::enable_shared_from_this<LeaderTerm> {
+ public:
+  /// Slots a term keeps prepared past every slot the process has opened:
+  /// smr::Log's default window.
+  static constexpr Slot kLookAhead = 8;
+
+  /// Slot s's registers at the memories (creating its regions if needed).
+  using RegistersFn = std::function<BallotRegisters(Slot)>;
+
+  /// A claimed slot's phase-2 ballot, and the term it was prepared in.
+  struct Lease {
+    std::uint64_t ballot = 0;
+    std::uint64_t term = 0;
+  };
+
+  LeaderTerm(sim::Executor& exec, std::size_t n, ProcessId self,
+             RegistersFn registers);
+
+  /// Slot s's registers, shared by the term and the slot's instance.
+  BallotRegisters& registers(Slot s) { return entry(s).regs; }
+  /// The process opened slot s (its instance exists).
+  void note_opened(Slot s) { opened_ = std::max(opened_, s + 1); }
+
+  /// p1's ballot-0 attempt at slot s: allowed only while no term has run
+  /// phase 1 (a process that re-seized a slot's regions could otherwise
+  /// overwrite a value a rival accepted there). While allowed, the slot
+  /// is kept out of every term until end_fast(s).
+  bool begin_fast(Slot s);
+  void end_fast(Slot s) { std::erase(fast_, s); }
+
+  /// Phase 1 for slot s under the current term (starting one if needed):
+  /// returns the lease phase 2 must write at, after offering `choice` the
+  /// value phase 1 adopted there — or nullopt if phase 1 failed, which
+  /// ends the term.
+  sim::Task<std::optional<Lease>> prepare(Slot s, Adoption* choice);
+  /// A phase-2 write under `lease` naked: end its term.
+  void end(const Lease& lease) { end_term(lease.term); }
+
+ private:
+  /// A background phase-1 round for one slot.
+  struct Round {
+    explicit Round(sim::Executor& exec) : done(exec) {}
+    sim::Gate done;
+    bool ok = false;
+    Adoption adoption{Bytes{}};
+  };
+  struct Entry {
+    explicit Entry(BallotRegisters r) : regs(std::move(r)) {}
+    BallotRegisters regs;
+    std::uint64_t term = kNoTerm;  // the term that last prepared the slot
+    bool claimed = false;          // a proposal took the slot's lease
+    std::shared_ptr<Round> round;  // the unclaimed background round
+  };
+  static constexpr std::uint64_t kNoTerm = ~std::uint64_t{0};
+
+  Entry& entry(Slot s);
+  void end_term(std::uint64_t term);
+  /// Start background rounds for every unprepared slot after s in the
+  /// window.
+  void prepare_ahead(Slot s);
+  static sim::Task<void> run_round(std::shared_ptr<LeaderTerm> self,
+                                   Entry* entry, std::shared_ptr<Round> round,
+                                   Lease lease);
+
+  sim::Executor* exec_;
+  RegistersFn registers_;
+  Ballots ballots_;
+  std::map<Slot, Entry> entries_;
+  std::vector<Slot> fast_;  // slots with a ballot-0 attempt in flight
+  Slot opened_ = 0;         // one past the highest slot opened
+  bool started_ = false;    // some term has run phase 1
+  bool active_ = false;     // term_ has a ballot and has not ended
+  std::uint64_t term_ = 0;
+  std::uint64_t ballot_ = 0;
 };
 
 }  // namespace mnm::core

@@ -46,6 +46,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common.hpp"
@@ -274,18 +275,37 @@ class PaxosEngine : public HubEngine<Paxos> {
 template <typename Inst, typename Config>
 class MemoryEngine : public HubEngine<Inst> {
  public:
-  /// Slot s's instance, its registers named under slot_ns(s, ns).
+  /// Slot s's instance, its registers named under slot_ns(s, ns). PMP
+  /// instances share one LeaderTerm per maker (one process's engine),
+  /// made at the first slot; it prepares slots ahead through `regions`.
   static MakeInstanceFn<Inst> instances(
       sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
       Omega& omega, std::shared_ptr<SlotRegions<RegionId>> regions,
       Config config, std::string ns) {
     return [&exec, &omega, memories = std::move(memories),
             regions = std::move(regions), config = std::move(config),
-            ns = std::move(ns)](Slot s, Transport& t) {
+            ns = std::move(ns),
+            term = std::shared_ptr<LeaderTerm>()](Slot s,
+                                                  Transport& t) mutable {
       Config c = config;
       c.prefix = slot_ns(s, ns);
-      return std::make_unique<Inst>(exec, memories, regions->get(s), t, omega,
-                                    std::move(c));
+      if constexpr (std::is_same_v<Inst, ProtectedMemoryPaxos>) {
+        if (term == nullptr) {
+          term = std::make_shared<LeaderTerm>(
+              exec, config.n, t.self(),
+              [&exec, memories, regions, self = t.self(), n = config.n,
+               ns](Slot slot) {
+                return pmp_slots(exec, memories, regions->get(slot), self, n,
+                                 slot_ns(slot, ns));
+              });
+        }
+        term->note_opened(s);
+        return std::make_unique<Inst>(exec, memories, regions->get(s), t, omega,
+                                      std::move(c), term, s);
+      } else {
+        return std::make_unique<Inst>(exec, memories, regions->get(s), t, omega,
+                                      std::move(c));
+      }
     };
   }
 

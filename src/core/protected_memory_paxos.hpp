@@ -19,11 +19,33 @@
 // algorithm, so the rule only needs to encode the protocol, not defend
 // against Byzantine behaviour.
 //
+// Leader terms. In a log (PmpEngine), every slot has its own regions, and
+// each starts with p1 as its writer, so a leader other than p1 would pay
+// seize → write1 → read_many → phase-2 write, 8 delays, on every slot. A
+// process's slot instances therefore share one LeaderTerm (ballot.hpp):
+// the first proposal that cannot take p1's ballot-0 path runs phase 1 at
+// one term ballot for its slot, the open slots past it and a look-ahead
+// window, all in parallel (6 delays). Each later slot then costs one
+// phase-2 write, 2 delays, while the term refills the window behind it.
+// Prepared state cannot go stale undetected: phase 1 seized the slot's
+// regions, so an acked phase-2 write proves nobody seized them since our
+// phase 1, and the write is as safe as one right after it. (The term never
+// re-seizes a slot while its phase-2 write is outstanding, so the
+// permission the write used is the one that phase 1 took.) A nak (someone
+// seized since), or a phase-1 read of a promise above the term ballot,
+// ends the term; the slot re-runs phase 1 at a fresh ballot. A process
+// that has run a term takes no further ballot-0 attempts: having
+// re-seized a region, its ballot-0 write could land over a rival's
+// accepted value. A directly built instance has no term and runs phase 1
+// per attempt, as in Alg. 7.
+//
 // Decisions are disseminated with a DECIDE broadcast so every correct
 // process decides (the standard extension the paper notes after Alg. 7).
 
 #pragma once
 
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,10 +95,13 @@ class ProtectedMemoryPaxos : public DecisionLatch {
  public:
   /// `region` must be the PMP region id, identical across `memories`.
   /// `transport` carries the DECIDE dissemination; `transport.self()` is this
-  /// process's identity.
+  /// process's identity. With a `term`, the instance is slot `slot` of a log
+  /// and runs phase 1 through the term, on the term's registers for it.
   ProtectedMemoryPaxos(sim::Executor& exec,
                        std::vector<mem::MemoryIface*> memories, RegionId region,
-                       Transport& transport, Omega& omega, PmpConfig config);
+                       Transport& transport, Omega& omega, PmpConfig config,
+                       std::shared_ptr<LeaderTerm> term = nullptr,
+                       Slot slot = 0);
 
   /// Spawn the DECIDE listener.
   void start();
@@ -87,7 +112,10 @@ class ProtectedMemoryPaxos : public DecisionLatch {
   Transport* transport_;
   Omega* omega_;
   ProcessId self_;
-  BallotRegisters slots_;
+  std::shared_ptr<LeaderTerm> term_;  // null: phase 1 per attempt
+  Slot slot_;
+  std::optional<BallotRegisters> own_slots_;  // without a term
+  BallotRegisters* slots_;  // own_slots_, or the term's for slot_
   Ballots ballots_;
 };
 

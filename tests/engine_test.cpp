@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,11 +42,13 @@ enum class Kind {
 
 /// Minimal cluster: n processes, m memories, one engine per process over one
 /// NetTransport (message engines) or the shared memories (Byzantine engines).
+/// Ω trusts `leader` (p1 unless a test calls lead()).
 struct EngineWorld {
   EngineWorld(Kind kind, std::size_t n, std::size_t m)
       : n(n),
         network(exec, n),
-        omega(Omega::fixed(exec, kLeaderP1)),
+        omega(exec, [this](sim::Time) { return leader; },
+              /*poke_complete=*/true),
         keystore(99) {
     for (std::size_t i = 0; i < m; ++i) {
       memories.push_back(
@@ -90,7 +93,7 @@ struct EngineWorld {
       }
       case Kind::kPmp:
       case Kind::kAligned: {
-        auto pool = std::make_shared<SlotRegions<RegionId>>([this](Slot s) {
+        pmp_pool = std::make_shared<SlotRegions<RegionId>>([this](Slot s) {
           RegionId region = 0;
           for (auto& mp : memories) {
             region = make_pmp_region(*mp, this->n, kLeaderP1, slot_ns(s, "pmp"));
@@ -104,12 +107,12 @@ struct EngineWorld {
             AlignedPaxosConfig ac;
             ac.n = n;
             engines.push_back(std::make_unique<AlignedEngine>(
-                exec, ifc, *transports.back(), omega, pool, ac));
+                exec, ifc, *transports.back(), omega, pmp_pool, ac));
           } else {
             PmpConfig pc;
             pc.n = n;
             engines.push_back(std::make_unique<PmpEngine>(
-                exec, ifc, *transports.back(), omega, pool, pc));
+                exec, ifc, *transports.back(), omega, pmp_pool, pc));
           }
         }
         break;
@@ -190,6 +193,7 @@ struct EngineWorld {
   }
 
   std::size_t n;
+  ProcessId leader = kLeaderP1;
   Executor exec;
   net::Network network;
   Omega omega;
@@ -198,6 +202,7 @@ struct EngineWorld {
   std::vector<std::unique_ptr<mem::Memory>> memories;
   std::vector<mem::MemoryIface*> ifc;
   std::vector<std::unique_ptr<NetTransport>> transports;
+  std::shared_ptr<SlotRegions<RegionId>> pmp_pool;  // PMP and Aligned
   std::vector<std::unique_ptr<ConsensusEngine>> engines;
   std::vector<std::map<Slot, std::string>> decided;  // index p - 1
 };
@@ -317,6 +322,132 @@ TEST(ConsensusEngine, CheapQuorumAbortThrowsProposeAborted) {
   }
   w.exec.run_until([&] { return aborted == 2; }, 100000);
   EXPECT_EQ(aborted, 2);
+}
+
+// --- PMP leader terms (protected_memory_paxos.hpp). ---
+
+/// A PMP cluster driven one proposal at a time under a scripted Ω. A
+/// process that loses leadership for good and proposes nothing more
+/// stands in for a crashed one.
+struct PmpTermWorld : EngineWorld {
+  PmpTermWorld() : EngineWorld(Kind::kPmp, 2, 3) { start_collectors(); }
+
+  void lead(ProcessId p) {
+    leader = p;
+    omega.poke();
+  }
+
+  /// What one proposal decided, and how long after its propose.
+  struct Outcome {
+    std::string value;
+    sim::Time delays = 0;
+  };
+
+  /// Propose `v` for slot s at process p and run until every process has
+  /// decided it (the others through the DECIDE broadcast).
+  Outcome decide(ProcessId p, Slot s, const std::string& v) {
+    std::optional<Outcome> out;
+    exec.spawn([](Executor* exec, ConsensusEngine* e, Slot s, Bytes v,
+                  std::optional<Outcome>* out) -> Task<void> {
+      const sim::Time at = exec->now();
+      const Decision d = co_await e->propose(s, std::move(v));
+      *out = Outcome{to_string(d.value), d.decided_at - at};
+    }(&exec, engines[p - 1].get(), s, to_bytes(v), &out));
+    const auto learned = [&] {
+      if (!out.has_value()) return false;
+      for (const auto& d : decided) {
+        if (!d.contains(s)) return false;
+      }
+      return true;
+    };
+    exec.run_until(learned, exec.now() + 10000);
+    EXPECT_TRUE(learned()) << "slot " << s << " proposed at p" << p;
+    return out.value_or(Outcome{});
+  }
+
+  /// p1 decides slots [0, k) on its ballot-0 path.
+  void p1_decides_first(Slot k) {
+    for (Slot s = 0; s < k; ++s) {
+      EXPECT_EQ(decide(1, s, "p1-" + std::to_string(s)).delays, 2u);
+    }
+  }
+
+  /// p1 and p2 decided the same slots, with the same values.
+  void expect_agreement() const { EXPECT_EQ(decided[0], decided[1]); }
+};
+
+TEST(PmpEngine, LeaderTermDecidesFreshSlotsInTwoDelays) {
+  PmpTermWorld w;
+  w.p1_decides_first(4);
+  w.lead(2);  // p1 crashes
+
+  // p2's first slot pays its term's phase 1 (seize, write, read_many) and
+  // the phase-2 write; the term prepared the slots after it meanwhile.
+  const auto first = w.decide(2, 4, "p2-4");
+  EXPECT_EQ(first.value, "p2-4");
+  EXPECT_EQ(first.delays, 8u);
+  for (Slot s = 5; s < 16; ++s) {
+    const auto fresh = w.decide(2, s, "p2-" + std::to_string(s));
+    EXPECT_EQ(fresh.value, "p2-" + std::to_string(s));
+    EXPECT_EQ(fresh.delays, 2u) << "slot " << s;
+  }
+  EXPECT_EQ(w.decided[0].size(), 16u);
+  w.expect_agreement();
+}
+
+TEST(PmpEngine, TermAdoptsValuesLeftInPreparedSlots) {
+  PmpTermWorld w;
+  w.p1_decides_first(4);
+  // Before it crashed, p1 wrote an accepted value into slot 6 at a
+  // majority of the memories; its DECIDE never went out.
+  const RegionId region6 = w.pmp_pool->get(6);
+  const BallotRecord left{0, 0, true, to_bytes("left-by-p1")};
+  for (std::size_t i = 0; i < 2; ++i) {
+    w.exec.spawn([](mem::MemoryIface* m, RegionId r, Bytes v) -> Task<void> {
+      (void)co_await m->write(1, r, slot_ns(6, "pmp") + "/slot/1",
+                              std::move(v));
+    }(w.ifc[i], region6, left.encode()));
+  }
+  w.exec.run(w.exec.now() + 2);
+  w.lead(2);
+
+  EXPECT_EQ(w.decide(2, 4, "p2-4").value, "p2-4");
+  EXPECT_EQ(w.decide(2, 5, "p2-5").delays, 2u);
+  // Slot 6 was prepared with slot 4: p2's term adopted p1's value there.
+  const auto adopted = w.decide(2, 6, "p2-6");
+  EXPECT_EQ(adopted.value, "left-by-p1");
+  EXPECT_EQ(adopted.delays, 2u);
+  EXPECT_EQ(w.decided[0].at(6), "left-by-p1");
+  w.expect_agreement();
+}
+
+TEST(PmpEngine, RivalTermNaksPreparedSlotsAndReprepares) {
+  PmpTermWorld w;
+  w.p1_decides_first(2);
+  w.lead(2);
+  EXPECT_EQ(w.decide(2, 2, "p2-2").delays, 8u);
+  EXPECT_EQ(w.decide(2, 3, "p2-3").delays, 2u);
+
+  // Ω hands leadership back to p1, which is alive: its ballot-0 write naks
+  // on the region p2 seized, so it runs a term of its own and seizes the
+  // slots after it too.
+  w.lead(1);
+  EXPECT_EQ(w.decide(1, 4, "p1-4").value, "p1-4");
+
+  // p2 regains leadership. Its prepared write for slot 5 naks (p1 seized
+  // the region since), which ends p2's term; p2 re-prepares at a fresh
+  // ballot, and the slots after 5 are back to 2 delays.
+  w.lead(2);
+  const auto renewed = w.decide(2, 5, "p2-5");
+  EXPECT_EQ(renewed.value, "p2-5");
+  EXPECT_GT(renewed.delays, 8u);
+  for (Slot s = 6; s < 10; ++s) {
+    const auto next = w.decide(2, s, "p2-" + std::to_string(s));
+    EXPECT_EQ(next.value, "p2-" + std::to_string(s));
+    EXPECT_EQ(next.delays, 2u) << "slot " << s;
+  }
+  EXPECT_EQ(w.decided[0].size(), 10u);
+  w.expect_agreement();
 }
 
 TEST(SlotTransportHub, OversizedSlotIdsAreDropped) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -184,6 +185,60 @@ INSTANTIATE_TEST_SUITE_P(
     ByzantineCrashes, CrashSweep,
     ::testing::Combine(::testing::Values(Algorithm::kFastRobust),
                        ::testing::Range(1, 5)),
+    crash_name);
+
+// Random crash schedules over SMR-mode PMP logs, where leader terms
+// (protected_memory_paxos.hpp) hand slots over between leaders: n = 3,
+// m = 3. p1 crashes at a random time; in half the seeds p2 follows it (a
+// chained fail-over to p3), and in half one memory crashes too. The
+// correct replicas must apply one log, every crashed replica's log must be
+// a prefix of it (in-order apply across the hand-offs), and the run must
+// terminate.
+class SmrCrashSweep : public CrashSweep {};
+
+TEST_P(SmrCrashSweep, LogSafeAndLiveAcrossHandOffs) {
+  const auto [algo, seed] = GetParam();
+  sim::Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 7);
+  ClusterConfig c;
+  c.algo = algo;
+  c.seed = static_cast<std::uint64_t>(seed);
+  c.n = 3;
+  c.m = 3;
+  c.smr.enabled = true;
+  c.smr.commands = 48;
+  c.log.batch = 2;
+  c.log.window = 4;
+  // A leader drives its 24 slots in about 12 delays (18 after a hand-off),
+  // so these times land crashes mid-log as well as between leaders.
+  const sim::Time first = 1 + rng.below(16);
+  c.faults.process_crashes[1] = first;
+  if (rng.chance(0.5)) c.faults.process_crashes[2] = first + 1 + rng.below(24);
+  if (rng.chance(0.5)) {
+    c.faults.memory_crashes[static_cast<MemoryId>(rng.range(1, c.m))] =
+        rng.below(40);
+  }
+  c.horizon = 200000;
+
+  const RunReport r = run_cluster(c);
+  const std::string where =
+      std::string(algorithm_name(algo)) + " seed=" + std::to_string(seed) +
+      " " + r.summary();
+  EXPECT_TRUE(r.agreement) << where;
+  EXPECT_TRUE(r.validity) << where;
+  EXPECT_TRUE(r.termination) << where;
+  const std::vector<std::string>& survivor = r.processes[2].log;
+  EXPECT_GE(survivor.size(), c.smr.commands) << where;
+  for (const ProcessReport& p : r.processes) {
+    ASSERT_LE(p.log.size(), survivor.size()) << "p" << p.id << " " << where;
+    EXPECT_TRUE(std::equal(p.log.begin(), p.log.end(), survivor.begin()))
+        << "p" << p.id << "'s log is not a prefix of p3's: " << where;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Smr, SmrCrashSweep,
+    ::testing::Combine(::testing::Values(Algorithm::kProtectedMemoryPaxos),
+                       ::testing::Range(1, 17)),
     crash_name);
 
 // ---------------------------------------------------------------------------
