@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/core/disk_paxos.hpp"
@@ -253,6 +255,92 @@ TEST(DiskBlockWire, RoundTripAndBottom) {
   ASSERT_TRUE(bot.has_value());
   EXPECT_FALSE(bot->has_value);
   EXPECT_FALSE(BallotRecord::decode(to_bytes("?")).has_value());
+}
+
+// A leader term's lease must stay safe while its phase-2 write is slow: a
+// rival seizes the slot and decides there, and a new term of the lease
+// holder starts meanwhile. That term must not seize the claimed slot
+// again, or the late write would land under the regained permission and
+// overwrite the rival's decision.
+TEST(LeaderTerm, NewTermLeavesClaimedSlotsToTheirProposer) {
+  Executor exec;
+  std::vector<std::unique_ptr<mem::Memory>> memories;
+  std::vector<mem::MemoryIface*> ifc;
+  for (std::size_t i = 0; i < 3; ++i) {
+    memories.push_back(
+        std::make_unique<mem::Memory>(exec, static_cast<MemoryId>(i + 1)));
+    ifc.push_back(memories.back().get());
+  }
+  std::vector<RegionId> regions;  // index: slot
+  const auto prefix = [](Slot s) { return "s" + std::to_string(s) + "/pmp"; };
+  const auto region = [&](Slot s) {
+    while (regions.size() <= s) {
+      RegionId id = 0;
+      for (auto& m : memories) {
+        id = make_pmp_region(*m, 2, kLeaderP1, prefix(regions.size()));
+      }
+      regions.push_back(id);
+    }
+    return regions[s];
+  };
+  auto term = std::make_shared<LeaderTerm>(exec, 2, /*self=*/2, [&](Slot s) {
+    return pmp_slots(exec, ifc, region(s), 2, 2, prefix(s));
+  });
+  for (Slot s = 0; s < 3; ++s) term->note_opened(s);
+
+  std::vector<std::optional<LeaderTerm::Lease>> leases(3);
+  const auto prepare = [&](Slot s) {
+    bool done = false;
+    exec.spawn([](LeaderTerm* t, Slot s, std::optional<LeaderTerm::Lease>* out,
+                  bool* done) -> Task<void> {
+      Adoption choice(to_bytes("mine"));
+      *out = co_await t->prepare(s, &choice);
+      *done = true;
+    }(term.get(), s, &leases[s], &done));
+    exec.run_until([&] { return done; }, exec.now() + 1000);
+    exec.run();  // let the background rounds finish
+  };
+
+  prepare(1);  // p2's term: slot 1 inline, slots 2.. ahead
+  prepare(2);  // slot 2's lease; its phase-2 write is slow
+  ASSERT_TRUE(leases[1].has_value());
+  ASSERT_TRUE(leases[2].has_value());
+  EXPECT_EQ(leases[2]->term, leases[1]->term);
+
+  // p1 seizes slot 2 and decides "rival" there at a higher ballot.
+  const BallotRecord rival{9, 9, true, to_bytes("rival")};
+  for (auto* m : ifc) {
+    exec.spawn([](mem::MemoryIface* m, RegionId r, std::string reg,
+                  Bytes v) -> Task<void> {
+      (void)co_await m->change_permission(
+          1, r, mem::Permission::exclusive_writer(1, all_processes(2)));
+      (void)co_await m->write(1, r, std::move(reg), std::move(v));
+    }(m, region(2), prefix(2) + "/slot/1", rival.encode()));
+  }
+  exec.run();
+
+  // Slot 1's write naked: the term ends, and slot 1 re-prepares in a new
+  // term, which prepares the slots after it again — but not slot 2.
+  term->end(*leases[1]);
+  prepare(1);
+  ASSERT_TRUE(leases[1].has_value());
+  EXPECT_NE(leases[1]->term, leases[2]->term);
+
+  // The slow write under slot 2's lease lands now and must not be acked
+  // at a majority.
+  int acks = 0;
+  BallotRegisters& regs = term->registers(2);
+  for (std::size_t i = 0; i < regs.size(); ++i) {
+    exec.spawn([](BallotRegisters* r, std::size_t i, BallotRecord rec,
+                  int* acks) -> Task<void> {
+      if (co_await r->write(i, rec) == mem::Status::kAck) ++*acks;
+    }(&regs, i,
+      BallotRecord{leases[2]->ballot, leases[2]->ballot, true,
+                   to_bytes("mine")},
+      &acks));
+  }
+  exec.run();
+  EXPECT_LT(acks, 2);
 }
 
 }  // namespace
