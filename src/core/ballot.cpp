@@ -109,7 +109,7 @@ LeaderTerm::Entry& LeaderTerm::entry(Slot s) {
 
 bool LeaderTerm::begin_fast(Slot s) {
   if (started_) return false;
-  fast_.push_back(s);
+  entry(s).claimed = true;
   return true;
 }
 
@@ -163,12 +163,12 @@ void LeaderTerm::prepare_ahead(Slot s) {
   if (opened_ <= 1) return;  // slot 0 alone: nothing to amortise
   const Slot end = std::max(s + 1, opened_) + kLookAhead;
   for (Slot t = s + 1; t < end; ++t) {
-    if (std::find(fast_.begin(), fast_.end(), t) != fast_.end()) continue;
     Entry& e = entry(t);
     // A claimed slot is re-prepared only by its own proposer, once its
     // phase-2 write has completed: seizing the regions while that write is
     // in flight could let it land under a permission a rival's decision
-    // had revoked in between.
+    // had revoked in between. A ballot-0 slot stays claimed for good: its
+    // phase-1 write would erase the value p1 may have decided there.
     if (e.claimed || e.term == term_) continue;
     e.term = term_;
     e.round = std::make_shared<Round>(*exec_);

@@ -187,10 +187,10 @@ class LeaderTerm : public std::enable_shared_from_this<LeaderTerm> {
 
   /// p1's ballot-0 attempt at slot s: allowed only while no term has run
   /// phase 1 (a process that re-seized a slot's regions could otherwise
-  /// overwrite a value a rival accepted there). While allowed, the slot
-  /// is kept out of every term until end_fast(s).
+  /// overwrite a value a rival accepted there). While allowed, the slot is
+  /// claimed, so no term prepares it ahead: its ballot-0 value sits in
+  /// p1's register alone, and a term's phase-1 write there would erase it.
   bool begin_fast(Slot s);
-  void end_fast(Slot s) { std::erase(fast_, s); }
 
   /// Phase 1 for slot s under the current term (starting one if needed):
   /// returns the lease phase 2 must write at, after offering `choice` the
@@ -230,7 +230,6 @@ class LeaderTerm : public std::enable_shared_from_this<LeaderTerm> {
   RegistersFn registers_;
   Ballots ballots_;
   std::map<Slot, Entry> entries_;
-  std::vector<Slot> fast_;  // slots with a ballot-0 attempt in flight
   Slot opened_ = 0;         // one past the highest slot opened
   bool started_ = false;    // some term has run phase 1
   bool active_ = false;     // term_ has a ballot and has not ended

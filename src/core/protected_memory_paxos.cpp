@@ -97,7 +97,6 @@ sim::Task<Bytes> ProtectedMemoryPaxos::propose(Bytes v) {
                                                   choice.value()}));
     }
     const auto acks = co_await fanout.collect(majority(slots_->size()));
-    if (fast_attempt && term_ != nullptr) term_->end_fast(slot_);
     for (const auto& [idx, st] : acks) {
       if (st != mem::Status::kAck) ok = false;
     }

@@ -36,8 +36,10 @@
 // ends the term; the slot re-runs phase 1 at a fresh ballot. A process
 // that has run a term takes no further ballot-0 attempts: having
 // re-seized a region, its ballot-0 write could land over a rival's
-// accepted value. A directly built instance has no term and runs phase 1
-// per attempt, as in Alg. 7.
+// accepted value. Nor does a term ever prepare a slot that took a ballot-0
+// attempt: that value sits in p1's register alone, so a phase-1 write
+// there could erase a decided value. A directly built instance has no term
+// and runs phase 1 per attempt, as in Alg. 7.
 //
 // Decisions are disseminated with a DECIDE broadcast so every correct
 // process decides (the standard extension the paper notes after Alg. 7).

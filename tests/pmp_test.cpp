@@ -257,23 +257,23 @@ TEST(DiskBlockWire, RoundTripAndBottom) {
   EXPECT_FALSE(BallotRecord::decode(to_bytes("?")).has_value());
 }
 
-// A leader term's lease must stay safe while its phase-2 write is slow: a
-// rival seizes the slot and decides there, and a new term of the lease
-// holder starts meanwhile. That term must not seize the claimed slot
-// again, or the late write would land under the regained permission and
-// overwrite the rival's decision.
-TEST(LeaderTerm, NewTermLeavesClaimedSlotsToTheirProposer) {
-  Executor exec;
-  std::vector<std::unique_ptr<mem::Memory>> memories;
-  std::vector<mem::MemoryIface*> ifc;
-  for (std::size_t i = 0; i < 3; ++i) {
-    memories.push_back(
-        std::make_unique<mem::Memory>(exec, static_cast<MemoryId>(i + 1)));
-    ifc.push_back(memories.back().get());
+// One process's leader term over PMP slots at three memories. Each slot's
+// regions are created on first use, with p1 as their writer.
+struct TermWorld {
+  explicit TermWorld(ProcessId self) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      memories.push_back(
+          std::make_unique<mem::Memory>(exec, static_cast<MemoryId>(i + 1)));
+      ifc.push_back(memories.back().get());
+    }
+    term = std::make_shared<LeaderTerm>(exec, 2, self, [this, self](Slot s) {
+      return registers(s, self);
+    });
   }
-  std::vector<RegionId> regions;  // index: slot
-  const auto prefix = [](Slot s) { return "s" + std::to_string(s) + "/pmp"; };
-  const auto region = [&](Slot s) {
+
+  static std::string prefix(Slot s) { return "s" + std::to_string(s) + "/pmp"; }
+
+  RegionId region(Slot s) {
     while (regions.size() <= s) {
       RegionId id = 0;
       for (auto& m : memories) {
@@ -282,65 +282,120 @@ TEST(LeaderTerm, NewTermLeavesClaimedSlotsToTheirProposer) {
       regions.push_back(id);
     }
     return regions[s];
-  };
-  auto term = std::make_shared<LeaderTerm>(exec, 2, /*self=*/2, [&](Slot s) {
-    return pmp_slots(exec, ifc, region(s), 2, 2, prefix(s));
-  });
-  for (Slot s = 0; s < 3; ++s) term->note_opened(s);
+  }
 
-  std::vector<std::optional<LeaderTerm::Lease>> leases(3);
-  const auto prepare = [&](Slot s) {
+  /// Process p's registers at slot s.
+  BallotRegisters registers(Slot s, ProcessId p) {
+    return pmp_slots(exec, ifc, region(s), p, 2, prefix(s));
+  }
+
+  /// The term's phase 1 for slot s, run to completion along with the
+  /// background rounds it starts.
+  std::optional<LeaderTerm::Lease> prepare(Slot s) {
+    std::optional<LeaderTerm::Lease> lease;
     bool done = false;
     exec.spawn([](LeaderTerm* t, Slot s, std::optional<LeaderTerm::Lease>* out,
                   bool* done) -> Task<void> {
       Adoption choice(to_bytes("mine"));
       *out = co_await t->prepare(s, &choice);
       *done = true;
-    }(term.get(), s, &leases[s], &done));
+    }(term.get(), s, &lease, &done));
     exec.run_until([&] { return done; }, exec.now() + 1000);
-    exec.run();  // let the background rounds finish
-  };
+    exec.run();
+    return lease;
+  }
 
-  prepare(1);  // p2's term: slot 1 inline, slots 2.. ahead
-  prepare(2);  // slot 2's lease; its phase-2 write is slow
-  ASSERT_TRUE(leases[1].has_value());
-  ASSERT_TRUE(leases[2].has_value());
-  EXPECT_EQ(leases[2]->term, leases[1]->term);
+  /// Writes `record` into each memory's copy of `regs`' own register; the
+  /// number of acks.
+  int write_all(BallotRegisters& regs, const BallotRecord& record) {
+    int acks = 0;
+    for (std::size_t i = 0; i < regs.size(); ++i) {
+      exec.spawn([](BallotRegisters* r, std::size_t i, BallotRecord rec,
+                    int* acks) -> Task<void> {
+        if (co_await r->write(i, rec) == mem::Status::kAck) ++*acks;
+      }(&regs, i, record, &acks));
+    }
+    exec.run();
+    return acks;
+  }
+
+  Executor exec;
+  std::vector<std::unique_ptr<mem::Memory>> memories;
+  std::vector<mem::MemoryIface*> ifc;
+  std::vector<RegionId> regions;  // index: slot
+  std::shared_ptr<LeaderTerm> term;
+};
+
+// A leader term's lease must stay safe while its phase-2 write is slow: a
+// rival seizes the slot and decides there, and a new term of the lease
+// holder starts meanwhile. That term must not seize the claimed slot
+// again, or the late write would land under the regained permission and
+// overwrite the rival's decision.
+TEST(LeaderTerm, NewTermLeavesClaimedSlotsToTheirProposer) {
+  TermWorld w(/*self=*/2);
+  for (Slot s = 0; s < 3; ++s) w.term->note_opened(s);
+
+  auto lease1 = w.prepare(1);  // p2's term: slot 1 inline, slots 2.. ahead
+  const auto lease2 = w.prepare(2);  // slot 2's lease; its write is slow
+  ASSERT_TRUE(lease1.has_value());
+  ASSERT_TRUE(lease2.has_value());
+  EXPECT_EQ(lease2->term, lease1->term);
 
   // p1 seizes slot 2 and decides "rival" there at a higher ballot.
-  const BallotRecord rival{9, 9, true, to_bytes("rival")};
-  for (auto* m : ifc) {
-    exec.spawn([](mem::MemoryIface* m, RegionId r, std::string reg,
-                  Bytes v) -> Task<void> {
+  BallotRegisters p1_regs = w.registers(2, kLeaderP1);
+  for (auto* m : w.ifc) {
+    w.exec.spawn([](mem::MemoryIface* m, RegionId r) -> Task<void> {
       (void)co_await m->change_permission(
           1, r, mem::Permission::exclusive_writer(1, all_processes(2)));
-      (void)co_await m->write(1, r, std::move(reg), std::move(v));
-    }(m, region(2), prefix(2) + "/slot/1", rival.encode()));
+    }(m, w.region(2)));
   }
-  exec.run();
+  w.exec.run();
+  ASSERT_EQ(w.write_all(p1_regs, BallotRecord{9, 9, true, to_bytes("rival")}),
+            3);
 
   // Slot 1's write naked: the term ends, and slot 1 re-prepares in a new
   // term, which prepares the slots after it again — but not slot 2.
-  term->end(*leases[1]);
-  prepare(1);
-  ASSERT_TRUE(leases[1].has_value());
-  EXPECT_NE(leases[1]->term, leases[2]->term);
+  w.term->end(*lease1);
+  lease1 = w.prepare(1);
+  ASSERT_TRUE(lease1.has_value());
+  EXPECT_NE(lease1->term, lease2->term);
 
   // The slow write under slot 2's lease lands now and must not be acked
   // at a majority.
-  int acks = 0;
-  BallotRegisters& regs = term->registers(2);
-  for (std::size_t i = 0; i < regs.size(); ++i) {
-    exec.spawn([](BallotRegisters* r, std::size_t i, BallotRecord rec,
-                  int* acks) -> Task<void> {
-      if (co_await r->write(i, rec) == mem::Status::kAck) ++*acks;
-    }(&regs, i,
-      BallotRecord{leases[2]->ballot, leases[2]->ballot, true,
-                   to_bytes("mine")},
-      &acks));
-  }
-  exec.run();
-  EXPECT_LT(acks, 2);
+  EXPECT_LT(w.write_all(w.term->registers(2),
+                        BallotRecord{lease2->ballot, lease2->ballot, true,
+                                     to_bytes("mine")}),
+            2);
+}
+
+// p1's ballot-0 value lives in p1's register alone. If p1's fast write at
+// slot 2 decides but the one at slot 1 naks (asynchrony lets the writes
+// land out of order), the term p1 then starts at slot 1 must not prepare
+// slot 2 ahead: its phase-1 write would erase the decided value, and a
+// rival's phase 1 there would adopt nothing.
+TEST(LeaderTerm, NewTermLeavesFastPathSlotsAlone) {
+  TermWorld w(kLeaderP1);
+  for (Slot s = 0; s < 3; ++s) w.term->note_opened(s);
+
+  ASSERT_TRUE(w.term->begin_fast(2));
+  ASSERT_EQ(w.write_all(w.term->registers(2),
+                        BallotRecord{0, 0, true, to_bytes("fast")}),
+            3);
+  ASSERT_TRUE(w.prepare(1).has_value());
+
+  // p2's phase 1 at slot 2 must still find p1's decided value.
+  BallotRegisters rival = w.registers(2, 2);
+  Ballots ballots(2, 2);
+  Adoption choice(to_bytes("rival"));
+  bool ok = false;
+  w.exec.spawn([](BallotRegisters* r, Ballots* b, Adoption* choice,
+                  bool* ok) -> Task<void> {
+    const BallotRecord write1{b->next(), 0, false, {}};
+    *ok = co_await r->majority_write_read(write1, *b, choice);
+  }(&rival, &ballots, &choice, &ok));
+  w.exec.run();
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(to_string(choice.value()), "fast");
 }
 
 }  // namespace
