@@ -1546,6 +1546,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   report.kv_writes = ws.puts + ws.dels + ws.cas_ops;
   report.kv_retries = w.kv_router->retries();
   report.kv_ops_per_kdelay = ws.ops_per_kdelay();
+  report.kv_last_reply_at = ws.last_reply_at;
   std::vector<sim::Time> op_latencies = ws.latencies;
   std::sort(op_latencies.begin(), op_latencies.end());
   report.kv_op_p50 = smr::latency_percentile(op_latencies, 50);

@@ -329,6 +329,7 @@ struct RunReport {
   /// the partitioning fingerprint.
   std::vector<std::uint64_t> kv_shard_ops;
   double kv_ops_per_kdelay = 0.0;
+  sim::Time kv_last_reply_at = 0;  // virtual time of the last client reply
   /// Client-visible operation latency (issue → committed reply).
   sim::Time kv_op_p50 = 0;
   sim::Time kv_op_p99 = 0;

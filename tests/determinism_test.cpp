@@ -91,6 +91,19 @@ struct Fingerprint {
   // skips the same prefixes — without perturbing the (time, seq) schedule
   // the fields above capture.
   std::uint64_t tsend_deliveries = 0, entries_decoded = 0, entries_skipped = 0;
+  // The rest of the report: invariant verdicts, the first correct decision,
+  // batched reads, slot kinds, the tuner's final settings, the KV op split
+  // and malformed count, the per-process fault columns, and the last reply
+  // time that kv_ops_per_kdelay divides by.
+  bool agreement = false, validity = false, termination = false;
+  sim::Time first_correct_delay = 0;
+  std::uint64_t read_batches = 0, noop_slots = 0, fast_slots = 0;
+  std::size_t tuner_window = 0, tuner_batch = 0;
+  std::uint64_t kv_reads = 0, kv_writes = 0, kv_malformed = 0;
+  std::vector<bool> byzantine;
+  std::vector<sim::Time> crashed_at;
+  std::vector<bool> fast_path;
+  sim::Time kv_last_reply_at = 0;
 
   bool operator==(const Fingerprint&) const = default;
 };
@@ -103,6 +116,9 @@ Fingerprint fingerprint(const RunReport& r) {
     f.decisions.push_back(p.decision);
     f.decided_at.push_back(p.decided_at);
     f.rejoined_at.push_back(p.rejoined_at);
+    f.byzantine.push_back(p.byzantine);
+    f.crashed_at.push_back(p.crashed_at);
+    f.fast_path.push_back(p.fast_path);
   }
   f.value = r.decided_value;
   f.first_delay = r.first_decision_delay;
@@ -155,6 +171,19 @@ Fingerprint fingerprint(const RunReport& r) {
   f.tsend_deliveries = r.tsend_deliveries;
   f.entries_decoded = r.history_entries_decoded;
   f.entries_skipped = r.history_entries_skipped;
+  f.agreement = r.agreement;
+  f.validity = r.validity;
+  f.termination = r.termination;
+  f.first_correct_delay = r.first_correct_decision_delay;
+  f.read_batches = r.mem_read_batches;
+  f.noop_slots = r.noop_slots;
+  f.fast_slots = r.fast_slots;
+  f.tuner_window = r.tuner_window;
+  f.tuner_batch = r.tuner_batch;
+  f.kv_reads = r.kv_reads;
+  f.kv_writes = r.kv_writes;
+  f.kv_malformed = r.kv_malformed;
+  f.kv_last_reply_at = r.kv_last_reply_at;
   return f;
 }
 
@@ -269,7 +298,23 @@ std::string golden_line(const std::string& name, const Fingerprint& f) {
       .field("txn_p999", f.txn_p999)
       .field("tsend_deliveries", f.tsend_deliveries)
       .field("entries_decoded", f.entries_decoded)
-      .field("entries_skipped", f.entries_skipped);
+      .field("entries_skipped", f.entries_skipped)
+      .field("agreement", f.agreement)
+      .field("validity", f.validity)
+      .field("termination", f.termination)
+      .field("first_correct_delay", f.first_correct_delay)
+      .field("read_batches", f.read_batches)
+      .field("noop_slots", f.noop_slots)
+      .field("fast_slots", f.fast_slots)
+      .field("tuner_window", f.tuner_window)
+      .field("tuner_batch", f.tuner_batch)
+      .field("kv_reads", f.kv_reads)
+      .field("kv_writes", f.kv_writes)
+      .field("kv_malformed", f.kv_malformed)
+      .field("byzantine", f.byzantine)
+      .field("crashed_at", f.crashed_at)
+      .field("fast_path", f.fast_path)
+      .field("kv_last_reply_at", f.kv_last_reply_at);
   return w.str();
 }
 
