@@ -78,7 +78,7 @@ void shard_scaling_grid() {
         continue;
       }
       char rate[32];
-      std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay);
+      std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay());
       t.row({std::to_string(shards), kv::mix_name(mix),
              std::to_string(r.kv_ops), rate, std::to_string(r.kv_op_p50),
              std::to_string(r.kv_op_p99), std::to_string(r.kv_op_p999),
@@ -120,7 +120,7 @@ void engine_matrix() {
       continue;
     }
     char rate[32];
-    std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay);
+    std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay());
     t.row({algorithm_name(row.algo), std::to_string(row.shards),
            std::to_string(r.kv_ops), rate, std::to_string(r.kv_op_p50),
            std::to_string(r.kv_op_p99), std::to_string(r.kv_duplicates),
@@ -155,7 +155,7 @@ void auto_tune_table() {
         continue;
       }
       char rate[32];
-      std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay);
+      std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay());
       t.row({row.label, auto_tune ? "auto" : "fixed 4x4",
              std::to_string(r.kv_ops), rate, std::to_string(r.kv_op_p50),
              std::to_string(r.kv_op_p99), std::to_string(r.kv_retries)});
@@ -190,7 +190,7 @@ void bm_kv(benchmark::State& state, Algorithm algo, std::size_t n,
       break;  // SkipWithError does not exit the range-for by itself
     }
     completed += r.kv_ops;
-    ops_per_kdelay += r.kv_ops_per_kdelay;
+    ops_per_kdelay += r.kv_ops_per_kdelay();
     op_p50 += r.kv_op_p50;
     op_p999 += r.kv_op_p999;
     commit_p999 += r.commit_p999;
@@ -233,7 +233,7 @@ void bm_kv_split(benchmark::State& state) {
       break;
     }
     completed += r.kv_ops;
-    ops_per_kdelay += r.kv_ops_per_kdelay;
+    ops_per_kdelay += r.kv_ops_per_kdelay();
     keys_moved += r.reconfig_keys_moved;
     bounces += r.reconfig_bounces;
     op_p999 += r.kv_op_p999;

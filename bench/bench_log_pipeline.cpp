@@ -64,7 +64,7 @@ void window_batch_grid() {
               : 0.0;
       char rate[32], eps[32];
       std::snprintf(rate, sizeof(rate), "%.0f", kdelay);
-      std::snprintf(eps, sizeof(eps), "%.1f", r.events_per_slot);
+      std::snprintf(eps, sizeof(eps), "%.1f", r.events_per_slot());
       t.row({std::to_string(window), std::to_string(batch),
              std::to_string(r.slots_applied), rate,
              std::to_string(r.commit_p50), std::to_string(r.commit_p99),
@@ -151,7 +151,7 @@ void suffix_decode_table() {
       continue;
     }
     char per[32];
-    std::snprintf(per, sizeof(per), "%.2f", r.decoded_per_delivery);
+    std::snprintf(per, sizeof(per), "%.2f", r.decoded_per_delivery());
     t.row({std::to_string(commands), std::to_string(r.slots_applied),
            std::to_string(r.tsend_deliveries),
            std::to_string(r.history_entries_decoded),

@@ -92,7 +92,7 @@ void plan_table() {
       continue;
     }
     char rate[32];
-    std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay);
+    std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay());
     std::string flips;
     for (const sim::Time f : r.reconfig_flip_times) {
       if (!flips.empty()) flips += ',';
@@ -126,7 +126,7 @@ void bm_plan(benchmark::State& state, const Plan& plan) {
       break;
     }
     completed += r.kv_ops;
-    ops_per_kdelay += r.kv_ops_per_kdelay;
+    ops_per_kdelay += r.kv_ops_per_kdelay();
     keys_moved += r.reconfig_keys_moved;
     bounces += r.reconfig_bounces;
     op_p999 += r.kv_op_p999;

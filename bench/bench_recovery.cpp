@@ -203,7 +203,7 @@ void bm_kv_recovery(benchmark::State& state, std::size_t interval) {
     completed += r.kv_ops;
     installed += r.snapshots_installed;
     bytes += r.catchup_bytes;
-    kdelay_sum += r.kv_ops_per_kdelay;
+    kdelay_sum += r.kv_ops_per_kdelay();
     ++iters;
     benchmark::DoNotOptimize(r);
   }

@@ -85,7 +85,7 @@ void contention_sweep() {
     char th[16], ab[16], rate[32];
     std::snprintf(th, sizeof(th), "%.2f", theta);
     std::snprintf(ab, sizeof(ab), "%.1f", 100.0 * abort_rate(r));
-    std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay);
+    std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay());
     t.row({th, std::to_string(r.kv_txns), std::to_string(r.kv_txn_commits),
            std::to_string(r.kv_txn_aborts), ab,
            std::to_string(r.kv_txn_conflicts),
@@ -112,7 +112,7 @@ void size_sweep() {
     }
     char ab[16], rate[32];
     std::snprintf(ab, sizeof(ab), "%.1f", 100.0 * abort_rate(r));
-    std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay);
+    std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay());
     t.row({std::to_string(k), std::to_string(r.kv_txns),
            std::to_string(r.kv_txn_commits), ab,
            std::to_string(r.kv_txn_commit_p50),
@@ -138,7 +138,7 @@ void shard_spread_control() {
       char th[16], ab[16], rate[32];
       std::snprintf(th, sizeof(th), "%.2f", theta);
       std::snprintf(ab, sizeof(ab), "%.1f", 100.0 * abort_rate(r));
-      std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay);
+      std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay());
       t.row({std::to_string(shards), th, std::to_string(r.kv_txns), ab,
              std::to_string(r.kv_txn_commit_p50),
              std::to_string(r.kv_txn_commit_p999), rate});
@@ -167,7 +167,7 @@ void bm_txn(benchmark::State& state, std::size_t shards, double fraction,
     completed += r.kv_ops;
     txns += r.kv_txns;
     aborts += r.kv_txn_aborts;
-    ops_per_kdelay += r.kv_ops_per_kdelay;
+    ops_per_kdelay += r.kv_ops_per_kdelay();
     commit_p50 += r.kv_txn_commit_p50;
     commit_p999 += r.kv_txn_commit_p999;
     ++iters;

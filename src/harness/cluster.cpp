@@ -53,77 +53,6 @@ const char* algorithm_name(Algorithm a) {
   return "?";
 }
 
-std::string RunReport::summary() const {
-  std::ostringstream os;
-  os << "decided=" << (decided_value ? *decided_value : "<none>")
-     << " first_delay=" << (first_decision_delay == sim::kTimeInfinity
-                                ? std::string("inf")
-                                : std::to_string(first_decision_delay))
-     << " agreement=" << agreement << " validity=" << validity
-     << " termination=" << termination << " msgs=" << messages_sent
-     << " reads=" << mem_reads << " read_batches=" << mem_read_batches
-     << " writes=" << mem_writes
-     << " perm_changes=" << permission_changes << " sigs=" << signatures
-     << " events=" << events;
-  if (tsend_deliveries > 0) {
-    os << " tsend_deliveries=" << tsend_deliveries
-       << " entries_decoded=" << history_entries_decoded
-       << " entries_skipped=" << history_entries_skipped
-       << " decoded/delivery=" << decoded_per_delivery;
-  }
-  if (slots_applied > 0) {
-    os << " slots=" << slots_applied << " cmds=" << commands_applied
-       << " noop=" << noop_slots << " fast=" << fast_slots
-       << " p50=" << commit_p50 << " p99=" << commit_p99
-       << " p999=" << commit_p999 << " qwait50=" << queue_wait_p50
-       << " qwait99=" << queue_wait_p99 << " occ=" << window_occupancy
-       << " events/slot=" << events_per_slot;
-    if (!tuner_trajectory.empty()) {
-      os << " tuner_epochs=" << tuner_epochs << " tuner_w=" << tuner_window
-         << " tuner_b=" << tuner_batch << " tune=" << tuner_trajectory;
-    }
-  }
-  if (snapshots_taken > 0 || snapshots_installed > 0) {
-    os << " snaps=" << snapshots_taken << "+" << snapshots_installed
-       << " truncated=" << slots_truncated << " catchup_bytes=" << catchup_bytes;
-  }
-  if (kv_ops > 0) {
-    os << " kv_ops=" << kv_ops << " kv_retries=" << kv_retries
-       << " kv_dups=" << kv_duplicates;
-    // Signed-mode-only counter: printed only when non-zero so legacy
-    // summary strings (and the fingerprints pinning them) are unchanged.
-    if (kv_forged > 0) os << " kv_forged=" << kv_forged;
-    os << " kv_ops/kdelay=" << kv_ops_per_kdelay
-       << " kv_op_p50=" << kv_op_p50 << " kv_op_p99=" << kv_op_p99
-       << " kv_op_p999=" << kv_op_p999 << " kv_hash=" << kv_store_hash
-       << " shard_ops=[";
-    for (std::size_t i = 0; i < kv_shard_ops.size(); ++i) {
-      os << (i > 0 ? "," : "") << kv_shard_ops[i];
-    }
-    os << "]";
-  }
-  // Transactional runs only — legacy summary strings are unchanged.
-  if (kv_txns > 0) {
-    os << " txns=" << kv_txns << " commits=" << kv_txn_commits
-       << " aborts=" << kv_txn_aborts << " txn_conflicts=" << kv_txn_conflicts
-       << " recoveries=" << kv_txn_recoveries << " balance=" << kv_txn_balance
-       << " locks=" << kv_locks_held << " txn_p50=" << kv_txn_commit_p50
-       << " txn_p999=" << kv_txn_commit_p999;
-  }
-  if (reconfig_epoch > 0 || reconfig_proposals > 0) {
-    os << " epoch=" << reconfig_epoch
-       << " migrations=" << reconfig_migrations
-       << " keys_moved=" << reconfig_keys_moved
-       << " bounces=" << reconfig_bounces
-       << " proposals=" << reconfig_proposals << " flips=[";
-    for (std::size_t i = 0; i < reconfig_flip_times.size(); ++i) {
-      os << (i > 0 ? "," : "") << reconfig_flip_times[i];
-    }
-    os << "]";
-  }
-  return os.str();
-}
-
 namespace {
 
 using core::Omega;
@@ -662,14 +591,6 @@ void add_tsend_stats(RunReport& report, const core::trusted::TsendStats& s) {
   report.history_entries_skipped += s.entries_skipped;
 }
 
-void finish_tsend_stats(RunReport& report) {
-  if (report.tsend_deliveries > 0) {
-    report.decoded_per_delivery =
-        static_cast<double>(report.history_entries_decoded) /
-        static_cast<double>(report.tsend_deliveries);
-  }
-}
-
 void add_recovery_counters(RunReport& report, const smr::RunStats& s) {
   report.snapshots_taken += s.snapshots_taken;
   report.snapshots_installed += s.snapshots_installed;
@@ -983,7 +904,6 @@ RunReport run_single_shot(World& w, const ClusterConfig& config) {
   for (const auto& s : w.single_shots) {
     add_tsend_stats(report, s->tsend_stats());
   }
-  finish_tsend_stats(report);
   return report;
 }
 
@@ -1155,7 +1075,7 @@ struct ReplicaFold {
     }
   }
 
-  /// Percentiles, occupancy, retired incarnations, resource and t-send
+  /// Percentiles, retired incarnations, resource and t-send
   /// counters — after the mode's own slot accounting is in `report`.
   void finish(RunReport& report, World& w) {
     std::sort(commit_latencies.begin(), commit_latencies.end());
@@ -1165,10 +1085,6 @@ struct ReplicaFold {
     std::sort(queue_waits.begin(), queue_waits.end());
     report.queue_wait_p50 = smr::latency_percentile(queue_waits, 50);
     report.queue_wait_p99 = smr::latency_percentile(queue_waits, 99);
-    if (report.occupancy_limit > 0) {
-      report.window_occupancy = static_cast<double>(report.occupancy_slots) /
-                                static_cast<double>(report.occupancy_limit);
-    }
     // Retired incarnations did real recovery work too (a first rejoiner may
     // itself later serve catch-up before a second crash) — fold their
     // counters in so the report covers every incarnation, per the RunReport
@@ -1179,10 +1095,6 @@ struct ReplicaFold {
       }
     }
     fill_resource_counters(report, w);
-    if (report.slots_applied > 0) {
-      report.events_per_slot = static_cast<double>(report.events) /
-                               static_cast<double>(report.slots_applied);
-    }
     if (w.cfg.algo == Algorithm::kFastRobust) {
       for (const Group& g : w.groups) {
         for (const Member& m : g.members) {
@@ -1191,7 +1103,6 @@ struct ReplicaFold {
                               .tsend_stats());
         }
       }
-      finish_tsend_stats(report);
     }
   }
 };
@@ -1545,7 +1456,6 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   report.kv_reads = ws.reads;
   report.kv_writes = ws.puts + ws.dels + ws.cas_ops;
   report.kv_retries = w.kv_router->retries();
-  report.kv_ops_per_kdelay = ws.ops_per_kdelay();
   report.kv_last_reply_at = ws.last_reply_at;
   std::vector<sim::Time> op_latencies = ws.latencies;
   std::sort(op_latencies.begin(), op_latencies.end());

@@ -15,6 +15,10 @@
 //     strategies, and a partial-synchrony shape (GST + pre-GST delay),
 // and produces a RunReport with per-process outcomes, delay counts, message
 // and memory-operation counts, signature counts, and invariant verdicts.
+// Every report field is listed once more, as a row of the metric table in
+// report.cpp; RunReport::summary() prints that table as one line, the line
+// the golden corpus (tests/golden/determinism.txt) pins per config. Ratios
+// are member functions over the pinned integer fields, never stored.
 //
 // Everything is deterministic given the seed.
 
@@ -266,13 +270,18 @@ struct RunReport {
 
   // Byzantine wire path (Robust Backup / Fast & Robust only): t-send decode
   // accounting, summed over every correct process's trusted transport.
-  // Suffix-only decode keeps decoded_per_delivery flat as histories grow —
+  // Suffix-only decode keeps decoded_per_delivery() flat as histories grow —
   // skipped entries are the verified prefixes hopped over without
   // materializing a HistoryEntry.
   std::uint64_t tsend_deliveries = 0;
   std::uint64_t history_entries_decoded = 0;
   std::uint64_t history_entries_skipped = 0;
-  double decoded_per_delivery = 0.0;
+  double decoded_per_delivery() const {
+    return tsend_deliveries > 0
+               ? static_cast<double>(history_entries_decoded) /
+                     static_cast<double>(tsend_deliveries)
+               : 0.0;
+  }
 
   // SMR mode only (config.smr.enabled).
   Slot slots_applied = 0;             // longest correct replica's applied log
@@ -294,7 +303,11 @@ struct RunReport {
   /// fingerprint-exact integer sums and their ratio.
   std::uint64_t occupancy_slots = 0;
   std::uint64_t occupancy_limit = 0;
-  double window_occupancy = 0.0;
+  double window_occupancy() const {
+    return occupancy_limit > 0 ? static_cast<double>(occupancy_slots) /
+                                     static_cast<double>(occupancy_limit)
+                               : 0.0;
+  }
   /// Auto-tuning only (zeros / empty otherwise): per-replica controller
   /// outcome. The trajectory joins each tuning replica's fingerprint
   /// ("p<id>:w4b4>8:w8b4|...") — the string determinism tests pin.
@@ -304,7 +317,11 @@ struct RunReport {
   std::string tuner_trajectory;
   /// Executor events per applied slot — the pipelining-efficiency metric
   /// bench_log_pipeline tracks.
-  double events_per_slot = 0.0;
+  double events_per_slot() const {
+    return slots_applied > 0 ? static_cast<double>(events) /
+                                   static_cast<double>(slots_applied)
+                             : 0.0;
+  }
   /// Recovery accounting (SMR/KV modes, zeros with snapshotting off),
   /// summed over every replica incarnation of every correct process:
   /// snapshots cut locally / installed from a peer during catch-up, log
@@ -328,8 +345,14 @@ struct RunReport {
   /// Effective (deduplicated) operations applied per shard, shard order —
   /// the partitioning fingerprint.
   std::vector<std::uint64_t> kv_shard_ops;
-  double kv_ops_per_kdelay = 0.0;
   sim::Time kv_last_reply_at = 0;  // virtual time of the last client reply
+  /// Completed operations per 1000 sim-time units — the aggregate
+  /// throughput sharding is supposed to scale.
+  double kv_ops_per_kdelay() const {
+    return kv_last_reply_at > 0 ? 1000.0 * static_cast<double>(kv_ops) /
+                                      static_cast<double>(kv_last_reply_at)
+                                : 0.0;
+  }
   /// Client-visible operation latency (issue → committed reply).
   sim::Time kv_op_p50 = 0;
   sim::Time kv_op_p99 = 0;
@@ -365,6 +388,8 @@ struct RunReport {
   /// part of the reconfiguration determinism fingerprint.
   std::vector<sim::Time> reconfig_flip_times;
 
+  /// The whole report as one line of `key=value` fields, one per row of
+  /// the metric table in report.cpp: the line the golden corpus pins.
   std::string summary() const;
 };
 

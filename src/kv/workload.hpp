@@ -118,15 +118,6 @@ struct WorkloadStats {
   /// Start → decision latency of every *committed* transfer (crash pause
   /// included for the recovered one), completion order.
   std::vector<sim::Time> txn_commit_latencies;
-
-  /// Completed operations per 1000 sim-time units — the aggregate
-  /// throughput sharding is supposed to scale.
-  double ops_per_kdelay() const {
-    return last_reply_at > 0
-               ? 1000.0 * static_cast<double>(ops) /
-                     static_cast<double>(last_reply_at)
-               : 0.0;
-  }
 };
 
 class Workload {

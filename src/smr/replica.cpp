@@ -65,8 +65,8 @@ std::string RunStats::summary() const {
      << " fast=" << fast_slots << " p50=" << commit_p50
      << " p99=" << commit_p99 << " p999=" << commit_p999
      << " qwait50=" << queue_wait_p50 << " qwait99=" << queue_wait_p99
-     << " occ=" << window_occupancy
-     << " cmds/kdelay=" << commands_per_kdelay;
+     << " occ=" << window_occupancy()
+     << " cmds/kdelay=" << commands_per_kdelay();
   if (!tuner_trajectory.empty()) {
     os << " tune=" << tuner_trajectory;
   }
@@ -138,10 +138,6 @@ RunStats Replica::stats() const {
   std::sort(waits.begin(), waits.end());
   out.queue_wait_p50 = latency_percentile(waits, 50);
   out.queue_wait_p99 = latency_percentile(waits, 99);
-  if (out.occupancy_limit > 0) {
-    out.window_occupancy = static_cast<double>(out.occupancy_slots) /
-                           static_cast<double>(out.occupancy_limit);
-  }
   out.snapshots_taken = log_.snapshots_taken();
   out.snapshots_installed = log_.snapshots_installed();
   out.slots_truncated = log_.slots_truncated();
@@ -152,11 +148,6 @@ RunStats Replica::stats() const {
     out.tuner_window = tuner_.window();
     out.tuner_batch = tuner_.batch();
     out.tuner_trajectory = tuner_.trajectory_fingerprint();
-  }
-  if (out.last_apply_at > 0) {
-    out.commands_per_kdelay = 1000.0 *
-                              static_cast<double>(out.commands_applied) /
-                              static_cast<double>(out.last_apply_at);
   }
   return out;
 }

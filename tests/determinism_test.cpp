@@ -7,18 +7,17 @@
 // every algorithm, including runs with faults.
 //
 // Every config below is also pinned against a checked-in golden corpus
-// (tests/golden/determinism.txt, one line per config): run-to-run equality
-// proves reproducibility, the corpus proves a refactor left behaviour
-// unchanged. Regenerate it with scripts/regolden.sh after a change that is
-// meant to move a fingerprint, and say which lines moved and why.
+// (tests/golden/determinism.txt, one line per config: its name and its
+// RunReport::summary(), which prints every report field): run-to-run
+// equality proves reproducibility, the corpus proves a refactor left
+// behaviour unchanged. Regenerate it with scripts/regolden.sh after a change
+// that is meant to move a fingerprint, and say which lines moved and why.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,297 +25,6 @@
 
 namespace mnm::harness {
 namespace {
-
-/// Everything observable a run produces, flattened for equality checks.
-struct Fingerprint {
-  std::vector<ProcessId> ids;
-  std::vector<bool> decided;
-  std::vector<std::string> decisions;
-  std::vector<sim::Time> decided_at;
-  std::optional<std::string> value;
-  sim::Time first_delay = 0;
-  std::uint64_t msgs = 0, reads = 0, writes = 0, perms = 0, sigs = 0, verifs = 0;
-  // Executor events: an added or dropped event (a stray timer, a waiter
-  // woken twice) shows here even when no decision time moves.
-  std::uint64_t events = 0;
-  // SMR mode: applied logs (in `decisions`, joined) plus the multi-slot
-  // metrics, so a reordered pipeline cannot hide behind equal counts.
-  Slot slots = 0;
-  std::uint64_t cmds = 0;
-  sim::Time p50 = 0, p99 = 0, p999 = 0;
-  // Queue-wait percentiles and the integer occupancy sums: a pipeline whose
-  // proposal scheduling drifted cannot hide behind equal commit times.
-  sim::Time qw50 = 0, qw99 = 0;
-  std::uint64_t occ_slots = 0, occ_limit = 0;
-  // Auto-tuning: the per-epoch adaptation trajectory itself (window/batch
-  // decisions and the epoch count), byte-for-byte. Empty when tuning is
-  // off, so fixed-config fingerprints are unchanged by the tuner's
-  // existence.
-  std::uint64_t tuner_epochs = 0;
-  std::string tuner_trajectory;
-  // KV mode: per-shard effective op counts, the combined store/session
-  // hash, client-visible latency percentiles, and the retry/dedup counters
-  // — a sharded run whose partitioning, dedup decisions or reply timing
-  // drifted cannot fingerprint equal.
-  std::uint64_t kv_ops = 0, kv_retries = 0, kv_dups = 0, kv_forged = 0,
-                kv_hash = 0;
-  std::vector<std::uint64_t> kv_shard_ops;
-  sim::Time kv_p50 = 0, kv_p99 = 0, kv_p999 = 0;
-  // Reconfiguration: the decided epoch history and the migration traffic it
-  // carried — the exact simulated times the routing table flipped, the
-  // pairs each INSTALL moved, every WrongEpoch bounce a client absorbed. A
-  // resharding run whose seal/drain/install interleaving drifted cannot
-  // fingerprint equal. All zero/empty for static (no-plan) runs.
-  std::uint64_t rc_epoch = 0, rc_migrations = 0, rc_keys_moved = 0,
-                rc_proposals = 0, rc_bounces = 0;
-  std::vector<sim::Time> rc_flips;
-  // Recovery: snapshot cadence, compaction and catch-up accounting, plus the
-  // rejoin timestamps — a crash-and-rejoin run whose recovery trajectory
-  // (when snapshots were cut, how many slots were truncated, how many bytes
-  // the rejoiner fetched) drifted cannot fingerprint equal.
-  std::uint64_t snaps_taken = 0, snaps_installed = 0, truncated = 0,
-                catchup_bytes = 0;
-  std::vector<sim::Time> rejoined_at;
-  // Transactions: commit/abort/conflict/recovery counts, the conserved
-  // balance sum, residual locks (the lock-table *contents* fold into
-  // kv_hash), and committed-transfer latency percentiles — a transactional
-  // run whose 2PC interleaving, no-wait conflict outcomes or crash-recovery
-  // replay drifted cannot fingerprint equal. All zero for plain runs.
-  std::uint64_t txns = 0, txn_commits = 0, txn_aborts = 0, txn_conflicts = 0,
-                txn_recoveries = 0, txn_locks = 0;
-  std::int64_t txn_balance = 0;
-  sim::Time txn_p50 = 0, txn_p999 = 0;
-  // Byzantine wire path: t-send suffix-decode accounting. Pinning these says
-  // the decode-cost optimization is itself deterministic — the same seed
-  // skips the same prefixes — without perturbing the (time, seq) schedule
-  // the fields above capture.
-  std::uint64_t tsend_deliveries = 0, entries_decoded = 0, entries_skipped = 0;
-  // The rest of the report: invariant verdicts, the first correct decision,
-  // batched reads, slot kinds, the tuner's final settings, the KV op split
-  // and malformed count, the per-process fault columns, and the last reply
-  // time that kv_ops_per_kdelay divides by.
-  bool agreement = false, validity = false, termination = false;
-  sim::Time first_correct_delay = 0;
-  std::uint64_t read_batches = 0, noop_slots = 0, fast_slots = 0;
-  std::size_t tuner_window = 0, tuner_batch = 0;
-  std::uint64_t kv_reads = 0, kv_writes = 0, kv_malformed = 0;
-  std::vector<bool> byzantine;
-  std::vector<sim::Time> crashed_at;
-  std::vector<bool> fast_path;
-  sim::Time kv_last_reply_at = 0;
-
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const RunReport& r) {
-  Fingerprint f;
-  for (const auto& p : r.processes) {
-    f.ids.push_back(p.id);
-    f.decided.push_back(p.decided);
-    f.decisions.push_back(p.decision);
-    f.decided_at.push_back(p.decided_at);
-    f.rejoined_at.push_back(p.rejoined_at);
-    f.byzantine.push_back(p.byzantine);
-    f.crashed_at.push_back(p.crashed_at);
-    f.fast_path.push_back(p.fast_path);
-  }
-  f.value = r.decided_value;
-  f.first_delay = r.first_decision_delay;
-  f.msgs = r.messages_sent;
-  f.reads = r.mem_reads;
-  f.writes = r.mem_writes;
-  f.perms = r.permission_changes;
-  f.sigs = r.signatures;
-  f.verifs = r.verifications;
-  f.events = r.events;
-  f.slots = r.slots_applied;
-  f.cmds = r.commands_applied;
-  f.p50 = r.commit_p50;
-  f.p99 = r.commit_p99;
-  f.p999 = r.commit_p999;
-  f.qw50 = r.queue_wait_p50;
-  f.qw99 = r.queue_wait_p99;
-  f.occ_slots = r.occupancy_slots;
-  f.occ_limit = r.occupancy_limit;
-  f.tuner_epochs = r.tuner_epochs;
-  f.tuner_trajectory = r.tuner_trajectory;
-  f.kv_ops = r.kv_ops;
-  f.kv_retries = r.kv_retries;
-  f.kv_dups = r.kv_duplicates;
-  f.kv_forged = r.kv_forged;
-  f.kv_hash = r.kv_store_hash;
-  f.kv_shard_ops = r.kv_shard_ops;
-  f.kv_p50 = r.kv_op_p50;
-  f.kv_p99 = r.kv_op_p99;
-  f.kv_p999 = r.kv_op_p999;
-  f.rc_epoch = r.reconfig_epoch;
-  f.rc_migrations = r.reconfig_migrations;
-  f.rc_keys_moved = r.reconfig_keys_moved;
-  f.rc_proposals = r.reconfig_proposals;
-  f.rc_bounces = r.reconfig_bounces;
-  f.rc_flips = r.reconfig_flip_times;
-  f.snaps_taken = r.snapshots_taken;
-  f.snaps_installed = r.snapshots_installed;
-  f.truncated = r.slots_truncated;
-  f.catchup_bytes = r.catchup_bytes;
-  f.txns = r.kv_txns;
-  f.txn_commits = r.kv_txn_commits;
-  f.txn_aborts = r.kv_txn_aborts;
-  f.txn_conflicts = r.kv_txn_conflicts;
-  f.txn_recoveries = r.kv_txn_recoveries;
-  f.txn_locks = r.kv_locks_held;
-  f.txn_balance = r.kv_txn_balance;
-  f.txn_p50 = r.kv_txn_commit_p50;
-  f.txn_p999 = r.kv_txn_commit_p999;
-  f.tsend_deliveries = r.tsend_deliveries;
-  f.entries_decoded = r.history_entries_decoded;
-  f.entries_skipped = r.history_entries_skipped;
-  f.agreement = r.agreement;
-  f.validity = r.validity;
-  f.termination = r.termination;
-  f.first_correct_delay = r.first_correct_decision_delay;
-  f.read_batches = r.mem_read_batches;
-  f.noop_slots = r.noop_slots;
-  f.fast_slots = r.fast_slots;
-  f.tuner_window = r.tuner_window;
-  f.tuner_batch = r.tuner_batch;
-  f.kv_reads = r.kv_reads;
-  f.kv_writes = r.kv_writes;
-  f.kv_malformed = r.kv_malformed;
-  f.kv_last_reply_at = r.kv_last_reply_at;
-  return f;
-}
-
-/// One line per config: `name field=value ...`, vectors comma-joined.
-/// Strings are escaped to printable ASCII so the corpus diffs cleanly.
-class LineWriter {
- public:
-  explicit LineWriter(const std::string& name) { out_ << name; }
-
-  template <class T>
-  LineWriter& field(const char* key, const T& v) {
-    out_ << ' ' << key << '=';
-    put(v);
-    return *this;
-  }
-  template <class T>
-  LineWriter& field(const char* key, const std::vector<T>& vs) {
-    out_ << ' ' << key << '=';
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-      if (i > 0) out_ << ',';
-      put(vs[i]);
-    }
-    return *this;
-  }
-  std::string str() const { return out_.str(); }
-
- private:
-  template <class T>
-  void put(const T& v) {
-    out_ << +v;
-  }
-  void put(bool v) { out_ << (v ? 1 : 0); }
-  void put(const std::optional<std::string>& v) {
-    if (v.has_value()) {
-      put(*v);
-    } else {
-      out_ << '-';
-    }
-  }
-  void put(const std::string& s) {
-    out_ << '"';
-    for (const char ch : s) {
-      const auto u = static_cast<unsigned char>(ch);
-      if (u > ' ' && u < 0x7F && ch != '"' && ch != '\\' && ch != ',') {
-        out_ << ch;
-      } else {
-        char esc[5];
-        std::snprintf(esc, sizeof esc, "\\x%02x", u);
-        out_ << esc;
-      }
-    }
-    out_ << '"';
-  }
-
-  std::ostringstream out_;
-};
-
-std::string golden_line(const std::string& name, const Fingerprint& f) {
-  LineWriter w(name);
-  w.field("ids", f.ids)
-      .field("decided", f.decided)
-      .field("decisions", f.decisions)
-      .field("decided_at", f.decided_at)
-      .field("value", f.value)
-      .field("first_delay", f.first_delay)
-      .field("msgs", f.msgs)
-      .field("reads", f.reads)
-      .field("writes", f.writes)
-      .field("perms", f.perms)
-      .field("sigs", f.sigs)
-      .field("verifs", f.verifs)
-      .field("events", f.events)
-      .field("slots", f.slots)
-      .field("cmds", f.cmds)
-      .field("p50", f.p50)
-      .field("p99", f.p99)
-      .field("p999", f.p999)
-      .field("qw50", f.qw50)
-      .field("qw99", f.qw99)
-      .field("occ_slots", f.occ_slots)
-      .field("occ_limit", f.occ_limit)
-      .field("tuner_epochs", f.tuner_epochs)
-      .field("tuner_trajectory", f.tuner_trajectory)
-      .field("kv_ops", f.kv_ops)
-      .field("kv_retries", f.kv_retries)
-      .field("kv_dups", f.kv_dups)
-      .field("kv_forged", f.kv_forged)
-      .field("kv_hash", f.kv_hash)
-      .field("kv_shard_ops", f.kv_shard_ops)
-      .field("kv_p50", f.kv_p50)
-      .field("kv_p99", f.kv_p99)
-      .field("kv_p999", f.kv_p999)
-      .field("rc_epoch", f.rc_epoch)
-      .field("rc_migrations", f.rc_migrations)
-      .field("rc_keys_moved", f.rc_keys_moved)
-      .field("rc_proposals", f.rc_proposals)
-      .field("rc_bounces", f.rc_bounces)
-      .field("rc_flips", f.rc_flips)
-      .field("snaps_taken", f.snaps_taken)
-      .field("snaps_installed", f.snaps_installed)
-      .field("truncated", f.truncated)
-      .field("catchup_bytes", f.catchup_bytes)
-      .field("rejoined_at", f.rejoined_at)
-      .field("txns", f.txns)
-      .field("txn_commits", f.txn_commits)
-      .field("txn_aborts", f.txn_aborts)
-      .field("txn_conflicts", f.txn_conflicts)
-      .field("txn_recoveries", f.txn_recoveries)
-      .field("txn_locks", f.txn_locks)
-      .field("txn_balance", f.txn_balance)
-      .field("txn_p50", f.txn_p50)
-      .field("txn_p999", f.txn_p999)
-      .field("tsend_deliveries", f.tsend_deliveries)
-      .field("entries_decoded", f.entries_decoded)
-      .field("entries_skipped", f.entries_skipped)
-      .field("agreement", f.agreement)
-      .field("validity", f.validity)
-      .field("termination", f.termination)
-      .field("first_correct_delay", f.first_correct_delay)
-      .field("read_batches", f.read_batches)
-      .field("noop_slots", f.noop_slots)
-      .field("fast_slots", f.fast_slots)
-      .field("tuner_window", f.tuner_window)
-      .field("tuner_batch", f.tuner_batch)
-      .field("kv_reads", f.kv_reads)
-      .field("kv_writes", f.kv_writes)
-      .field("kv_malformed", f.kv_malformed)
-      .field("byzantine", f.byzantine)
-      .field("crashed_at", f.crashed_at)
-      .field("fast_path", f.fast_path)
-      .field("kv_last_reply_at", f.kv_last_reply_at);
-  return w.str();
-}
 
 // --- The configs: each defined once, run by its own test below and by the
 // golden-corpus test. ---
@@ -736,8 +444,7 @@ void expect_deterministic(const std::string& name) {
   if (k.check_ok) {
     EXPECT_TRUE(a.all_ok()) << a.summary();
   }
-  EXPECT_EQ(fingerprint(a), fingerprint(b))
-      << "run 1: " << a.summary() << "\nrun 2: " << b.summary();
+  EXPECT_EQ(a.summary(), b.summary());
 }
 
 std::string golden_path() {
@@ -751,7 +458,7 @@ std::string golden_path() {
 TEST(Determinism, GoldenCorpusMatchesFreshRuns) {
   std::vector<std::string> fresh;
   for (const Case& k : cases()) {
-    fresh.push_back(golden_line(k.name, fingerprint(run_cluster(k.make()))));
+    fresh.push_back(k.name + ' ' + run_cluster(k.make()).summary());
   }
   const std::string path = golden_path();
   if (std::getenv("MNM_REGOLDEN") != nullptr) {
@@ -1055,7 +762,7 @@ TEST(Determinism, SeedSweepIsReproducible) {
     const ClusterConfig c = config("SeedSweep" + std::to_string(seed));
     const RunReport a = run_cluster(c);
     const RunReport b = run_cluster(c);
-    EXPECT_EQ(fingerprint(a), fingerprint(b)) << "seed " << seed;
+    EXPECT_EQ(a.summary(), b.summary()) << "seed " << seed;
   }
 }
 

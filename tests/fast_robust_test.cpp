@@ -215,8 +215,8 @@ TEST(FastRobustEngine, BackupTakeoverUnderByzantineLeaderAndSlowSchedule) {
   // history, which grows with every round).
   EXPECT_GT(r.tsend_deliveries, 0u) << r.summary();
   EXPECT_GT(r.history_entries_skipped, 0u) << r.summary();
-  EXPECT_GT(r.decoded_per_delivery, 0.0);
-  EXPECT_LT(r.decoded_per_delivery, 6.0) << r.summary();
+  EXPECT_GT(r.decoded_per_delivery(), 0.0);
+  EXPECT_LT(r.decoded_per_delivery(), 6.0) << r.summary();
 }
 
 TEST(PreferentialPaxos, PriorityDecisionLemma47) {

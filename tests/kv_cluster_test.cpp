@@ -94,7 +94,7 @@ TEST(KvCluster, MoreShardsMoreThroughput) {
   const RunReport r4 = run_cluster(four);
   ASSERT_TRUE(r1.all_ok()) << r1.summary();
   ASSERT_TRUE(r4.all_ok()) << r4.summary();
-  EXPECT_GT(r4.kv_ops_per_kdelay, 1.5 * r1.kv_ops_per_kdelay)
+  EXPECT_GT(r4.kv_ops_per_kdelay(), 1.5 * r1.kv_ops_per_kdelay())
       << "1 shard: " << r1.summary() << "\n4 shards: " << r4.summary();
 }
 

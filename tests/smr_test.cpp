@@ -207,7 +207,7 @@ TEST(SmrCluster, ReportCarriesCommitPercentiles) {
   ASSERT_TRUE(r.all_ok()) << r.summary();
   EXPECT_GT(r.commit_p50, 0u);
   EXPECT_GE(r.commit_p99, r.commit_p50);
-  EXPECT_GT(r.events_per_slot, 0.0);
+  EXPECT_GT(r.events_per_slot(), 0.0);
 }
 
 TEST(SmrCluster, ReportCarriesQueueWaitAndOccupancy) {
@@ -219,8 +219,8 @@ TEST(SmrCluster, ReportCarriesQueueWaitAndOccupancy) {
   EXPECT_GT(r.queue_wait_p99, 0u) << r.summary();
   EXPECT_GE(r.queue_wait_p99, r.queue_wait_p50);
   EXPECT_GT(r.occupancy_limit, 0u);
-  EXPECT_GT(r.window_occupancy, 0.0);
-  EXPECT_LE(r.window_occupancy, 1.0 + 1e-9) << r.summary();
+  EXPECT_GT(r.window_occupancy(), 0.0);
+  EXPECT_LE(r.window_occupancy(), 1.0 + 1e-9) << r.summary();
 }
 
 // ---------------------------------------------------------------------------
