@@ -456,20 +456,6 @@ Records StateMachine::export_records(
   return out;
 }
 
-bool StateMachine::txn_active() const {
-  if (!locks_.empty() || txn_prepared_ != 0 || txn_committed_ != 0 ||
-      txn_aborted_ != 0 || txn_conflicts_ != 0 || txn_orphans_ != 0 ||
-      txn_rejected_ != 0) {
-    return true;
-  }
-  // Marks can exist with every counter zero: INSTALL imports them from a
-  // machine that applied the prepares elsewhere.
-  for (const auto& [client, s] : sessions_) {
-    if (s.last_prepare_seq != 0) return true;
-  }
-  return false;
-}
-
 std::uint64_t StateMachine::txn_fold(std::uint64_t h) const {
   h = fnv1a_u64(h, locks_.size());
   for (const auto& [k, l] : locks_) {
@@ -527,14 +513,9 @@ std::uint64_t StateMachine::store_hash() const {
     h = fnv1a(h, s.last_reply.value);
   }
   h = fnv1a_u64(h, ops_applied_);
-  // Partition state is replicated state: fold it in partitioned mode so the
-  // agreement check covers ownership and the epoch; static-sharding hashes
-  // are unchanged byte-for-byte.
-  if (partitioned_) h = partition_fold(h);
-  // Same rule for transaction state: the fold exists only once transactions
-  // have touched this machine, so plain-KV hashes are unchanged.
-  if (txn_active()) h = txn_fold(h);
-  return h;
+  // Partition and transaction state are replicated state too, so the
+  // agreement check covers ownership, the epoch, locks and prepare marks.
+  return txn_fold(partition_fold(h));
 }
 
 template <class Self>
@@ -548,8 +529,8 @@ auto StateMachine::counters(Self& m) {
 
 std::uint64_t StateMachine::snapshot_digest() const {
   // The agreement fold extended over every counter, including the ones
-  // store_hash() leaves out or folds only in partitioned / transactional
-  // mode, so the digest covers every byte restore() adopts.
+  // store_hash() leaves out, so the digest covers every byte restore()
+  // adopts.
   std::uint64_t h = store_hash();
   for (const std::uint64_t* c : counters(*this)) h = fnv1a_u64(h, *c);
   return h;

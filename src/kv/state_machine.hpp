@@ -59,9 +59,9 @@
 // The reply sink is how the co-located router learns outcomes: every replica
 // applies every command, each calls the sink, and the router keeps the first
 // delivery per (client, seq). Everything here is deterministic — iteration
-// is over ordered maps, and store_hash() folds store + sessions (+ the
-// partition state in partitioned mode) into one fingerprint the determinism
-// suite and the harness agreement check pin.
+// is over ordered maps, and store_hash() folds store, sessions, partition
+// state and transaction state into one fingerprint the determinism suite
+// and the harness agreement check pin.
 
 #pragma once
 
@@ -224,11 +224,6 @@ class StateMachine : public smr::StateMachine {
   Reply apply_op(const Command& c);
   Reply apply_admin(const Command& c);
   Reply apply_txn(const Command& c);
-  /// True once any transaction state exists — counters, live locks, or a
-  /// session prepare mark (marks can arrive alone via INSTALL). Gates the
-  /// txn fold in store_hash(), so transaction-free agreement hashes do not
-  /// depend on the transaction subsystem.
-  bool txn_active() const;
   std::uint64_t txn_fold(std::uint64_t h) const;
   /// The record tables in canonical order. `take` (indexed by bucket)
   /// filters pairs and locks to the marked buckets; empty takes everything.

@@ -669,8 +669,9 @@ TEST(Determinism, KvTxnCoordinatorCrashRecoverySameSeedSameRun) {
 
 TEST(Determinism, PlainKvFingerprintUnchangedByTxnPlumbing) {
   // txn_fraction = 0 must behave exactly as if the transaction subsystem
-  // did not exist: no txn rng draws, no txn counters, no lock fold in the
-  // store hash — and the run fingerprints equal.
+  // did not exist: no txn rng draws and no txn counters (the store hash
+  // folds the empty lock table like every other) — and the run
+  // fingerprints equal.
   const RunReport a = run_cluster(config("PlainKvUnchangedByTxnPlumbing"));
   EXPECT_EQ(a.kv_txns, 0u);
   EXPECT_EQ(a.kv_txn_balance, 0);
