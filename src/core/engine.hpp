@@ -186,6 +186,9 @@ class ConsensusEngine {
     while (true) {
       const std::uint64_t seen = hub->heard().version();
       while (slot_horizon() < hub->horizon()) open_slot(slot_horizon());
+      std::vector<Slot>& below = hub->heard_below();
+      for (std::size_t i = 0; i < below.size(); ++i) open_slot(below[i]);
+      below.clear();
       sim::Select sel(*exec_);
       sel.on(hub->heard(), seen);
       (void)co_await sel;

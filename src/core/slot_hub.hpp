@@ -7,8 +7,9 @@
 // messages to per-slot sub-transports. Sub-transports are created on demand
 // on BOTH sides: a follower that has never heard of slot s gets a buffering
 // sub the moment the first message for s arrives, and the `heard` signal +
-// `horizon()` tell the engine's discovery loop to open the slot's instance,
-// which then drains the buffered messages. That is what makes leader-driven
+// `horizon()` (or `heard_below()`, for a slot below the horizon) tell the
+// engine's discovery loop to open the slot's instance, which then drains
+// the buffered messages. That is what makes leader-driven
 // pipelining work without any out-of-band slot announcement.
 //
 // Hot-path shape matches TransportMux: framing is one extra Writer into the
@@ -20,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/common.hpp"
 #include "src/core/transport.hpp"
@@ -64,9 +66,16 @@ class SlotTransportHub {
   void start() { exec_->spawn(demux_loop(this)); }
 
   /// One past the highest slot with observed activity (local opens and
-  /// inbound frames). `heard()` bumps whenever it grows.
+  /// inbound frames). `heard()` bumps whenever it grows, and whenever a
+  /// frame arrives first for a slot below it.
   Slot horizon() const { return horizon_; }
   sim::VersionSignal& heard() { return heard_; }
+
+  /// Slots below the horizon whose first frame arrived before anyone
+  /// opened them, in arrival order. Opening slots up to the horizon does
+  /// not reach them once a higher slot was opened, so the discovery loop
+  /// opens these too and clears the list.
+  std::vector<Slot>& heard_below() { return heard_below_; }
 
   /// The control channel: a sub-transport on the reserved kControlSlot
   /// frame id. Created on first use; its traffic never notes the horizon.
@@ -137,7 +146,15 @@ class SlotTransportHub {
       }
       if (s >= hub->max_slot_) continue;  // horizon guard: drop
       hub->note(s);
-      Sub& sub = hub->sub(s);
+      std::unique_ptr<Sub>& cell = hub->subs_[s];
+      if (cell == nullptr) {
+        cell = std::make_unique<Sub>(*hub->exec_, *hub->base_, s);
+        if (s + 1 < hub->horizon_) {
+          hub->heard_below_.push_back(s);
+          hub->heard_.bump();
+        }
+      }
+      Sub& sub = *cell;
       m.payload = m.payload.suffix(8);  // strip the slot id, zero-copy
       sub.incoming_.send(std::move(m));
     }
@@ -148,6 +165,7 @@ class SlotTransportHub {
   Slot max_slot_;
   Slot horizon_ = 0;
   sim::VersionSignal heard_;
+  std::vector<Slot> heard_below_;
   util::FlatMap<std::uint64_t, std::unique_ptr<Sub>> subs_;
 };
 

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/engine.hpp"
@@ -448,6 +449,26 @@ TEST(PmpEngine, RivalTermNaksPreparedSlotsAndReprepares) {
   }
   EXPECT_EQ(w.decided[0].size(), 10u);
   w.expect_agreement();
+}
+
+TEST(ConsensusEngine, HubEnginesLearnALowerSlotHeardAfterAHigherOne) {
+  // p2 opens slot 10 itself, so its hub's horizon is already past slot 5
+  // when p1's traffic for slot 5 (its DECIDE included) arrives. p2 must
+  // still open slot 5 and learn the decision.
+  for (const auto& [kind, n, m] :
+       {std::tuple{Kind::kPaxos, 3, 0}, std::tuple{Kind::kFastPaxos, 3, 0},
+        std::tuple{Kind::kDiskPaxos, 2, 3}, std::tuple{Kind::kPmp, 2, 3},
+        std::tuple{Kind::kAligned, 3, 3}}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    EngineWorld w(kind, n, m);
+    w.start_collectors();
+    w.engines[1]->open_slot(10);
+    w.propose(1, 5, "v5");
+    w.exec.run_until([&] { return w.all_decided(1); }, 100000);
+    for (ProcessId p : all_processes(n)) {
+      EXPECT_EQ(w.decided[p - 1].count(5), 1u) << "p" << p;
+    }
+  }
 }
 
 TEST(SlotTransportHub, OversizedSlotIdsAreDropped) {
