@@ -33,6 +33,12 @@ inline std::vector<ProcessId> all_processes(std::size_t n) {
 /// Majority threshold for a set of `count` agents: floor(count/2) + 1.
 inline std::size_t majority(std::size_t count) { return count / 2 + 1; }
 
+/// num / den, or 0 when den is 0: the ratios run reports derive from their
+/// integer counters.
+inline double ratio(std::uint64_t num, std::uint64_t den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+}
+
 using util::Bytes;
 
 }  // namespace mnm

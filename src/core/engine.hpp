@@ -22,7 +22,8 @@
 //    backup; use FastRobustEngine for totality).
 //  * open_slot(slot) makes this replica participate passively (acceptor /
 //    learner roles) without proposing. Message-routed engines discover and
-//    open slots automatically from inbound traffic (the hub's horizon);
+//    open slots automatically from inbound traffic (every slot up to the
+//    hub's horizon, and any slot below it whose first frame came late);
 //    all-propose engines (Cheap Quorum, Fast & Robust, whose traffic runs
 //    through memories) require every correct replica to propose each slot —
 //    smr::Log's all_propose mode does exactly that.

@@ -9,8 +9,8 @@
 // sub the moment the first message for s arrives, and the `heard` signal +
 // `horizon()` (or `heard_below()`, for a slot below the horizon) tell the
 // engine's discovery loop to open the slot's instance, which then drains
-// the buffered messages. That is what makes leader-driven
-// pipelining work without any out-of-band slot announcement.
+// the buffered messages. That is what makes leader-driven pipelining work
+// without any out-of-band slot announcement.
 //
 // Hot-path shape matches TransportMux: framing is one extra Writer into the
 // shared broadcast buffer (still one serialize per broadcast), inbound

@@ -277,10 +277,7 @@ struct RunReport {
   std::uint64_t history_entries_decoded = 0;
   std::uint64_t history_entries_skipped = 0;
   double decoded_per_delivery() const {
-    return tsend_deliveries > 0
-               ? static_cast<double>(history_entries_decoded) /
-                     static_cast<double>(tsend_deliveries)
-               : 0.0;
+    return ratio(history_entries_decoded, tsend_deliveries);
   }
 
   // SMR mode only (config.smr.enabled).
@@ -304,9 +301,7 @@ struct RunReport {
   std::uint64_t occupancy_slots = 0;
   std::uint64_t occupancy_limit = 0;
   double window_occupancy() const {
-    return occupancy_limit > 0 ? static_cast<double>(occupancy_slots) /
-                                     static_cast<double>(occupancy_limit)
-                               : 0.0;
+    return ratio(occupancy_slots, occupancy_limit);
   }
   /// Auto-tuning only (zeros / empty otherwise): per-replica controller
   /// outcome. The trajectory joins each tuning replica's fingerprint
@@ -317,11 +312,7 @@ struct RunReport {
   std::string tuner_trajectory;
   /// Executor events per applied slot — the pipelining-efficiency metric
   /// bench_log_pipeline tracks.
-  double events_per_slot() const {
-    return slots_applied > 0 ? static_cast<double>(events) /
-                                   static_cast<double>(slots_applied)
-                             : 0.0;
-  }
+  double events_per_slot() const { return ratio(events, slots_applied); }
   /// Recovery accounting (SMR/KV modes, zeros with snapshotting off),
   /// summed over every replica incarnation of every correct process:
   /// snapshots cut locally / installed from a peer during catch-up, log
@@ -349,9 +340,7 @@ struct RunReport {
   /// Completed operations per 1000 sim-time units — the aggregate
   /// throughput sharding is supposed to scale.
   double kv_ops_per_kdelay() const {
-    return kv_last_reply_at > 0 ? 1000.0 * static_cast<double>(kv_ops) /
-                                      static_cast<double>(kv_last_reply_at)
-                                : 0.0;
+    return ratio(1000 * kv_ops, kv_last_reply_at);
   }
   /// Client-visible operation latency (issue → committed reply).
   sim::Time kv_op_p50 = 0;

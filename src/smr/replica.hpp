@@ -81,9 +81,7 @@ struct RunStats {
   std::uint64_t occupancy_slots = 0;
   std::uint64_t occupancy_limit = 0;
   double window_occupancy() const {
-    return occupancy_limit > 0 ? static_cast<double>(occupancy_slots) /
-                                     static_cast<double>(occupancy_limit)
-                               : 0.0;
+    return ratio(occupancy_slots, occupancy_limit);
   }
   /// Controller outcome (zeros / empty when auto-tuning is off).
   std::uint64_t tuner_epochs = 0;
@@ -101,10 +99,7 @@ struct RunStats {
   std::uint64_t catchup_rejected = 0;
   /// Applied commands per 1000 sim-time units — the pipelining headline.
   double commands_per_kdelay() const {
-    return last_apply_at > 0 ? 1000.0 *
-                                   static_cast<double>(commands_applied) /
-                                   static_cast<double>(last_apply_at)
-                             : 0.0;
+    return ratio(1000 * commands_applied, last_apply_at);
   }
 
   std::string summary() const;
