@@ -1,5 +1,8 @@
 // RunReport's metric table: every report field once, as a `{key, member}`
-// row, in the order of the golden corpus (tests/golden/determinism.txt).
+// row, in the order of the golden corpus (tests/golden/determinism.txt). A
+// process's applied log has no row of its own: SMR mode joins it into the
+// process's `decision`.
+//
 // summary() prints one `key=value` field per row, so the corpus line of a
 // config is its name followed by its summary. A new counter is a field, a
 // row appended here, and its fold in cluster.cpp; appending a row appends a
