@@ -32,7 +32,7 @@ struct NebWorld {
       signers.push_back(keystore.register_process(p));
       slots.push_back(std::make_unique<NebSlots>(exec, ifc, regions));
       nebs.push_back(std::make_unique<NonEquivBroadcast>(
-          exec, *slots.back(), keystore, signers.back(), NebConfig{n, 1}));
+          exec, *slots.back(), keystore, signers.back(), NebConfig{n}));
       nebs.back()->start();
     }
   }

@@ -203,7 +203,7 @@ sim::Task<void> CheapQuorum::wait_for_panic() {
   while (true) {
     watch.snapshot();
     if (co_await anyone_panicked()) co_return;
-    co_await watch.wait_change(*exec_, sim::kTimeInfinity, config_.poll);
+    co_await watch.wait_change(*exec_, sim::kTimeInfinity);
   }
 }
 
@@ -273,7 +273,7 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
     if (co_await anyone_panicked() || exec_->now() >= deadline) {
       co_return co_await panic_mode(std::move(input));
     }
-    co_await watch.wait_change(*exec_, deadline, config_.poll);
+    co_await watch.wait_change(*exec_, deadline);
   }
 
   // Sign and replicate our copy (line 14–15).
@@ -350,7 +350,7 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
     if (co_await anyone_panicked() || exec_->now() >= deadline) {
       co_return co_await panic_mode(std::move(input));
     }
-    co_await watch.wait_change(*exec_, deadline, config_.poll);
+    co_await watch.wait_change(*exec_, deadline);
   }
 }
 

@@ -118,7 +118,6 @@ struct CheapQuorumConfig {
   /// bound on the communication, processing and computation delays in the
   /// common case" (§4.2 footnote 3).
   sim::Time timeout = 120;
-  sim::Time poll = 2;
 };
 
 struct CqOutcome {

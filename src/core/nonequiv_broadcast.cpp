@@ -171,8 +171,7 @@ sim::Task<void> NonEquivBroadcast::scan_loop() {
   // slot each poll tick, suspend on the write versions of this instance's
   // regions and rescan only when one of its registers actually changed. The
   // watch snapshots *before* a pass, so a write landing mid-scan re-arms the
-  // select immediately — no lost wakeups. Backends without write versions
-  // (none in-tree) degrade to the config_.poll timeout.
+  // select immediately — no lost wakeups.
   mem::WriteWatch watch(slots_->memories(), slots_->regions());
   while (true) {
     watch.snapshot();
@@ -182,7 +181,7 @@ sim::Task<void> NonEquivBroadcast::scan_loop() {
       while (co_await try_deliver(q)) progress = true;
     }
     if (progress) continue;  // re-snapshot and look again before sleeping
-    co_await watch.wait_change(*exec_, sim::kTimeInfinity, config_.poll);
+    co_await watch.wait_change(*exec_, sim::kTimeInfinity);
   }
 }
 

@@ -58,7 +58,7 @@ std::map<ProcessId, RegionId> make_neb_regions(MemoryT& memory, std::size_t n,
 }
 
 /// Shared table of replicated slot registers. Lookups are on the scan-loop
-/// hot path (every poll tick touches slot(q, k, q)), so registers are keyed
+/// hot path (every scan pass touches slot(q, k, q)), so registers are keyed
 /// by a packed (owner, k, broadcaster) integer in a flat table; the string
 /// register name is only built when a slot is first created.
 class NebSlots {
@@ -138,9 +138,6 @@ std::optional<NebSlotContent> decode_neb_slot(const Bytes& raw);
 
 struct NebConfig {
   std::size_t n = 3;
-  /// Fallback scan period, used only when a memory backend offers no
-  /// write-version signal; the delivery loop is otherwise event-driven.
-  sim::Time poll = 1;
 };
 
 class NonEquivBroadcast {

@@ -95,20 +95,18 @@ class MemoryIface {
   virtual sim::Task<Status> change_permission(ProcessId caller, RegionId region,
                                               Permission proposed) = 0;
 
-  /// The memory's WriteVersions, or nullptr when the backend offers no
-  /// notification (callers must then keep a timeout fallback). Declared as
-  /// the memory-wide base signal: a decorator forwards the whole table by
+  /// The memory's WriteVersions, never null: every backend supplies write
+  /// versions, so no waiter needs a poll fallback. Declared as the
+  /// memory-wide base signal: a decorator forwards the whole table by
   /// forwarding this one pointer.
-  virtual sim::VersionSignal* write_version() { return nullptr; }
+  virtual sim::VersionSignal* write_version() = 0;
 
   /// Bumped at the effect point of every write applied through `region`
   /// (never for naks). Pollers turned waiters (Cheap Quorum's follower
   /// loops, NEB's delivery scan) select on their own regions' signals
-  /// instead of sleeping; nullptr as for write_version().
+  /// instead of sleeping.
   sim::VersionSignal* write_version(RegionId region) {
-    sim::VersionSignal* all = write_version();
-    if (all == nullptr) return nullptr;
-    return &static_cast<WriteVersions*>(all)->region(region);
+    return &static_cast<WriteVersions*>(write_version())->region(region);
   }
 };
 

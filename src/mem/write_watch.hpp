@@ -13,13 +13,9 @@
 //
 // A watch is itself a sim::Select source (select_ready / select_watch), one
 // source however many (memory, region) signals it covers.
-//
-// Backends without write versions (none in-tree) make complete() false;
-// wait_change then re-checks every `poll` so callers stay live.
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -39,13 +35,7 @@ class WriteWatch {
              const std::vector<RegionId>& regions) {
     signals_.reserve(memories.size() * regions.size());
     for (MemoryIface* m : memories) {
-      for (RegionId r : regions) {
-        if (sim::VersionSignal* s = m->write_version(r)) {
-          signals_.push_back(s);
-        } else {
-          complete_ = false;
-        }
-      }
+      for (RegionId r : regions) signals_.push_back(m->write_version(r));
     }
     seen_.assign(signals_.size(), 0);
   }
@@ -71,30 +61,19 @@ class WriteWatch {
     for (sim::VersionSignal* s : signals_) s->select_watch(node, idx);
   }
 
-  /// True when every watched region reports writes — a wait on this watch
-  /// needs no timeout fallback to stay live.
-  bool complete() const { return complete_ && !signals_.empty(); }
-
   /// The whole wait in one call: suspend until a write lands past the last
-  /// snapshot, or `deadline` passes. An incomplete watch always re-checks by
-  /// `poll` (bounded by the deadline) so unsignalled backends stay live;
-  /// pass sim::kTimeInfinity as the deadline for a pure change wait.
-  sim::Task<void> wait_change(sim::Executor& exec, sim::Time deadline,
-                              sim::Time poll) {
+  /// snapshot, or `deadline` passes; pass sim::kTimeInfinity as the deadline
+  /// for a pure change wait.
+  sim::Task<void> wait_change(sim::Executor& exec, sim::Time deadline) {
     sim::Select sel(exec);
     sel.on(*this);
-    if (!complete()) {
-      sel.until(std::min(deadline, exec.now() + poll));
-    } else if (deadline != sim::kTimeInfinity) {
-      sel.until(deadline);
-    }
+    if (deadline != sim::kTimeInfinity) sel.until(deadline);
     (void)co_await sel;
   }
 
  private:
   std::vector<sim::VersionSignal*> signals_;
   std::vector<std::uint64_t> seen_;
-  bool complete_ = true;
 };
 
 }  // namespace mnm::mem

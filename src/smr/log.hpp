@@ -110,8 +110,6 @@ struct LogConfig {
   /// queues advance in lockstep and fillers are never needed). fixed_slots
   /// is then just a cap, not a target.
   bool noop_fillers = true;
-  /// Seed for Ω leadership-wait backoff.
-  sim::Time lead_poll = 1;
   /// Snapshot the state machine every `snapshot_interval` applied slots and
   /// compact the log below the snapshot slot (0 = never, the default — the
   /// pre-snapshot behavior, byte-for-byte). With an interval set the Log

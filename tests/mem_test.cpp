@@ -326,7 +326,7 @@ Task<void> watch_pass(Executor& e, MemoryIface& m, RegionId watched,
   WriteWatch w({&m}, {watched});
   w.snapshot();
   for (auto& [r, reg] : regs) (void)co_await m.read(1, r, reg);
-  co_await w.wait_change(e, sim::kTimeInfinity, 1);
+  co_await w.wait_change(e, sim::kTimeInfinity);
   *woke = e.now();
 }
 

@@ -33,7 +33,7 @@ struct NebFixture {
       signers.push_back(keystore.register_process(p));
       slots.push_back(std::make_unique<NebSlots>(exec, iface, regions));
       nebs.push_back(std::make_unique<NonEquivBroadcast>(
-          exec, *slots.back(), keystore, signers.back(), NebConfig{n, 1}));
+          exec, *slots.back(), keystore, signers.back(), NebConfig{n}));
     }
   }
 
